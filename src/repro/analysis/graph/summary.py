@@ -4,8 +4,8 @@ One AST pass per file (the same parse the single-module rules use)
 produces a :class:`ModuleSummary`: a plain-data, picklable fact sheet
 that the :class:`~repro.analysis.graph.project.ProjectGraph` assembles
 into the cross-module import and call graphs.  Keeping the summary
-AST-free is what lets the engine parse files in a worker pool and build
-the graph afterwards without re-reading anything.
+AST-free is what lets the engine drop each tree after its file is linted
+and build the graph afterwards without re-reading anything.
 
 Call references are recorded as small tagged tuples so resolution can
 be finished later, once every module is known:

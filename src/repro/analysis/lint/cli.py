@@ -71,13 +71,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="append each firing rule's rationale to the text report",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="worker threads for per-file parsing/linting "
-        "(default: min(8, cpu count); findings order is identical at any N)",
-    )
-    parser.add_argument(
         "--changed",
         action="store_true",
         help="restrict per-module rules to files reported by "
@@ -172,7 +165,6 @@ def run_lint(args: argparse.Namespace) -> int:
         args.paths,
         config=config,
         root=args.root,
-        jobs=getattr(args, "jobs", None),
         module_scope=module_scope,
         build_graph=getattr(args, "graph_out", None) is not None,
     )

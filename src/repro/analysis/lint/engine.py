@@ -238,8 +238,8 @@ def _scan_file(
 ) -> _FileScan:
     """Parse one file, run the per-module rules, extract the summary.
 
-    Pure function of its inputs (no shared state), so it can run on a
-    worker pool; the caller merges results in deterministic path order.
+    Pure function of its inputs (no shared state); the caller merges
+    results in deterministic path order.
     Any parse failure — syntax error, null byte, pathological nesting —
     becomes a REP000 finding instead of a crash, and the file simply
     drops out of the graph.
@@ -375,18 +375,11 @@ def lint_source(
     return lint_sources({relpath: source}, config=config)
 
 
-def _default_jobs() -> int:
-    import os
-
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 def lint_paths(
     paths: Sequence[str | Path],
     *,
     config: LintConfig | None = None,
     root: str | Path | None = None,
-    jobs: int | None = None,
     module_scope: set[str] | None = None,
     build_graph: bool = False,
 ) -> LintResult:
@@ -395,10 +388,10 @@ def lint_paths(
     ``root`` (default: the current directory) anchors the relative
     paths used both in reports and in the config's glob matching.
 
-    Files are parsed and per-module-linted on a worker pool (``jobs``
-    threads, default ``min(8, cpu_count)``); findings are merged in
-    sorted ``(path, line, col, rule)`` order regardless of completion
-    order, so the report is byte-identical at any parallelism.
+    Files are parsed and per-module-linted one after another (a
+    thread pool was slower under the GIL, and concurrent ``ast.parse``
+    is not safe on CPython 3.11); findings come back in sorted
+    ``(path, line, col, rule)`` order.
 
     ``module_scope`` (``repro lint --changed``) restricts the
     *per-module* rules to the given relpaths; every file is still
@@ -442,16 +435,7 @@ def lint_paths(
             run_module_rules=module_scope is None or relpath in module_scope,
         )
 
-    workers = jobs if jobs is not None else _default_jobs()
-    if workers > 1 and len(work) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scans = list(pool.map(scan_one, work))
-    else:
-        scans = [scan_one(item) for item in work]
-
-    scans.sort(key=lambda scan: scan.relpath)
+    scans = sorted((scan_one(item) for item in work), key=lambda scan: scan.relpath)
     for scan in scans:
         result.findings.extend(scan.findings)
         result.suppressed += scan.suppressed

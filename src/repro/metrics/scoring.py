@@ -337,9 +337,21 @@ def ranking_orders(keys: np.ndarray, *, descending: bool = True) -> np.ndarray:
     """Row-wise stable ranking: ``orders[r]`` sorts ``keys[r]``.
 
     Descending by default, ties broken by index — the ordering contract
-    shared by the evaluator and the AoBPR/DSS factor-ranking caches.
+    shared by the evaluator and the AoBPR/ABS/DSS factor-ranking caches.
+
+    The default (SIMD) argsort is not stable, but a row whose sorted
+    keys are pairwise distinct and NaN-free has exactly one sorting
+    permutation, so its result is the stable one.  Only rows holding
+    equal keys (``-0.0 == 0.0`` included) or NaN are re-sorted with
+    ``kind="stable"``; the output is bitwise that of a stable argsort.
     """
     keys = np.asarray(keys)
     if descending:
         keys = -keys
-    return np.argsort(keys, axis=1, kind="stable")
+    orders = np.argsort(keys, axis=1)
+    ranked = np.take_along_axis(keys, orders, axis=1)
+    redo = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | np.isnan(ranked).any(axis=1)
+    rows = np.flatnonzero(redo)
+    if len(rows):
+        orders[rows] = np.argsort(keys[rows], axis=1, kind="stable")
+    return orders

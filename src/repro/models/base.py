@@ -352,7 +352,7 @@ class TupleSGDRecommender(FactorRecommender):
             "epoch": epoch,
             "params": self.params_.copy(),
             "rng_state": copy.deepcopy(rng.bit_generator.state),
-            "sampler_step": self.sampler.step,
+            "sampler_state": self.sampler.state_dict(),
             "n_losses": len(self.loss_history_),
             "n_vals": len(self.validation_history_),
             "best_score": stopping_state["best_score"],
@@ -366,7 +366,7 @@ class TupleSGDRecommender(FactorRecommender):
         self.params_ = snapshot["params"].copy()
         rng.bit_generator.state = copy.deepcopy(snapshot["rng_state"])
         self.sampler.bind(self._train, self.params_)
-        self.sampler.load_state_dict({"step": snapshot["sampler_step"]})
+        self.sampler.load_state_dict(snapshot["sampler_state"])
         del self.loss_history_[snapshot["n_losses"]:]
         del self.validation_history_[snapshot["n_vals"]:]
         stopping_state.update(
@@ -381,11 +381,13 @@ class TupleSGDRecommender(FactorRecommender):
         from repro.resilience.checkpoint import TrainingCheckpoint
 
         best_score = stopping_state["best_score"]
+        sampler_state = self.sampler.state_dict()
         return TrainingCheckpoint(
             epoch=epoch,
             params=self.params_,
             rng_state=rng.bit_generator.state,
-            sampler_step=self.sampler.step,
+            sampler_step=sampler_state.pop("step"),
+            sampler_state=sampler_state,
             learning_rate=self.learning_rate_,
             loss_history=list(self.loss_history_),
             validation_history=list(self.validation_history_),
@@ -411,8 +413,9 @@ class TupleSGDRecommender(FactorRecommender):
         checkpoint file path, or a checkpoint directory (latest epoch
         wins).  Resuming restores parameters, RNG and sampler state,
         the effective learning rate, and the early-stopping bookkeeping,
-        so with a stateless (uniform) sampler the resumed run is bitwise
-        identical to the uninterrupted one.
+        so the resumed run is bitwise identical to the uninterrupted one
+        (adaptive samplers included: their ranking caches are restored
+        from the checkpoint, not rebuilt from the resumed parameters).
         """
         from repro.resilience.checkpoint import resolve_checkpoint
         from repro.resilience.guard import as_guard
@@ -455,7 +458,9 @@ class TupleSGDRecommender(FactorRecommender):
                 rng.bit_generator.state = copy.deepcopy(resumed.rng_state)
             except (KeyError, TypeError, ValueError) as error:
                 raise CheckpointError(f"cannot restore RNG state: {error}") from error
-            self.sampler.load_state_dict({"step": resumed.sampler_step})
+            self.sampler.load_state_dict(
+                {**resumed.sampler_state, "step": resumed.sampler_step}
+            )
             self.learning_rate_ = (
                 resumed.learning_rate
                 if resumed.learning_rate is not None

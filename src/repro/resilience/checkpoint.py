@@ -4,11 +4,14 @@ A :class:`TrainingCheckpoint` captures *everything* the SGD loop needs
 to continue as if it had never stopped: the factor parameters, the RNG
 bit-generator state, the sampler step counter, the effective learning
 rate (which may differ from the configured one after guard backoffs),
-the loss/validation histories, and the early-stopping bookkeeping.
-Restoring it and resuming therefore reproduces the uninterrupted run
-*bitwise* for stateless (uniform) samplers; adaptive samplers (DSS,
-AoBPR, DNS) rebuild their ranking caches from the restored parameters,
-which is deterministic but may differ from the mid-run cache timing.
+the loss/validation histories, the early-stopping bookkeeping, and
+the adaptive samplers' ranking-cache state (the item factors each cache
+last ranked and the steps since).  Restoring it and resuming therefore
+reproduces the uninterrupted run *bitwise*, with uniform and adaptive
+(DSS, AoBPR, ABS) samplers alike.  Checkpoints written before the cache
+state was recorded still load; their caches rebuild from the restored
+parameters, which is deterministic but may differ from the mid-run
+refresh timing.
 
 Files are single ``.npz`` archives written through the atomic writers
 in :mod:`repro.persistence`, with a CRC-32 checksum of all arrays in
@@ -31,6 +34,7 @@ from repro.utils.exceptions import CheckpointError, ConfigError
 
 _CHECKPOINT_VERSION = 1
 _CHECKPOINT_PATTERN = re.compile(r"^ckpt_epoch_(\d+)\.npz$")
+_SAMPLER_PREFIX = "sampler."
 
 
 @dataclass
@@ -38,7 +42,9 @@ class TrainingCheckpoint:
     """Full training state at an epoch boundary.
 
     ``epoch`` is the index of the *last completed* epoch; resuming
-    continues from ``epoch + 1``.
+    continues from ``epoch + 1``.  ``sampler_state`` is the sampler's
+    :meth:`~repro.sampling.base.Sampler.state_dict` without ``"step"``;
+    its array values are stored as ``sampler.<key>`` archive members.
     """
 
     epoch: int
@@ -53,6 +59,7 @@ class TrainingCheckpoint:
     stale_evals: int = 0
     best_params: FactorParams | None = None
     extra: dict = field(default_factory=dict)
+    sampler_state: dict = field(default_factory=dict)
 
 
 def save_checkpoint(
@@ -77,11 +84,18 @@ def save_checkpoint(
         arrays["best_user_factors"] = checkpoint.best_params.user_factors
         arrays["best_item_factors"] = checkpoint.best_params.item_factors
         arrays["best_item_bias"] = checkpoint.best_params.item_bias
+    sampler_scalars = {}
+    for key, value in checkpoint.sampler_state.items():
+        if isinstance(value, np.ndarray):
+            arrays[_SAMPLER_PREFIX + key] = value
+        else:
+            sampler_scalars[key] = value
     metadata = {
         "version": _CHECKPOINT_VERSION,
         "epoch": checkpoint.epoch,
         "rng_state": checkpoint.rng_state,
         "sampler_step": checkpoint.sampler_step,
+        "sampler_state": sampler_scalars,
         "learning_rate": checkpoint.learning_rate,
         "best_epoch": checkpoint.best_epoch,
         "best_score": checkpoint.best_score,
@@ -130,6 +144,10 @@ def load_checkpoint(path: str | Path) -> TrainingCheckpoint:
     params = FactorParams(
         arrays["user_factors"], arrays["item_factors"], arrays["item_bias"]
     )
+    sampler_state = dict(metadata.get("sampler_state", {}))
+    for name, array in arrays.items():
+        if name.startswith(_SAMPLER_PREFIX):
+            sampler_state[name[len(_SAMPLER_PREFIX):]] = array
     best_params = None
     if metadata.get("has_best_params"):
         best_params = FactorParams(
@@ -150,6 +168,7 @@ def load_checkpoint(path: str | Path) -> TrainingCheckpoint:
         stale_evals=int(metadata.get("stale_evals", 0)),
         best_params=best_params,
         extra=metadata.get("extra", {}),
+        sampler_state=sampler_state,
     )
 
 

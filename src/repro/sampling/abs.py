@@ -48,6 +48,9 @@ class AlphaBetaSampler(Sampler):
     def _on_bind(self) -> None:
         self._cache = FactorRankingCache(self.params, self.refresh_interval)
 
+    def _ranking_caches(self) -> dict:
+        return {"ranking": self._cache}
+
     def _window_ranks(self, size: int, rng: np.random.Generator) -> np.ndarray:
         n_items = self.train.n_items
         low = int(self.alpha * n_items)

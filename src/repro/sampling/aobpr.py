@@ -40,6 +40,9 @@ class AdaptiveOversampler(Sampler):
     def _on_bind(self) -> None:
         self._cache = FactorRankingCache(self.params, self.refresh_interval)
 
+    def _ranking_caches(self) -> dict:
+        return {"ranking": self._cache}
+
     def _factor_choice(self, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw factor ``q`` per tuple, ``P(q|u) ∝ |U_uq| * std(V_q)``."""
         importance = np.abs(self.params.user_factors[users]) * self.params.item_factors.std(axis=0)

@@ -169,18 +169,38 @@ class Sampler(ABC):
         return self._step
 
     # -- checkpoint/resume ------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable sampler state captured at a checkpoint.
+    def _ranking_caches(self) -> dict:
+        """Named ranking caches whose refresh state a checkpoint carries."""
+        return {}
 
-        The base state is just the step counter.  Adaptive samplers
-        rebuild their ranking caches from the restored parameters at
-        the next ``bind``, which is deterministic but may not reproduce
-        the exact mid-run cache timing; the uniform sampler is fully
-        stateless beyond the counter, so resumed runs are bitwise
-        identical to uninterrupted ones.
+    def state_dict(self) -> dict:
+        """Sampler state captured at a checkpoint.
+
+        The step counter, plus for each ranking cache the steps since
+        its last rebuild (``"<cache>.calls_since_refresh"``) and the
+        item factors that rebuild ranked (``"<cache>.snapshot"``, an
+        array).  Restoring them rebuilds the same orders and keeps the
+        refresh phase, so a resumed run is bitwise identical to an
+        uninterrupted one for the adaptive samplers as well as the
+        uniform one.
         """
-        return {"step": self._step}
+        state: dict = {"step": self._step}
+        for name, cache in self._ranking_caches().items():
+            if cache is None:  # not bound yet
+                continue
+            for key, value in cache.state_dict().items():
+                state[f"{name}.{key}"] = value
+        return state
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict` (after ``bind``)."""
+        """Restore state captured by :meth:`state_dict` (after ``bind``).
+
+        Caches missing from ``state`` (an older checkpoint) stay cold and
+        rebuild from the restored parameters on the next step.
+        """
         self._step = int(state.get("step", 0))
+        for name, cache in self._ranking_caches().items():
+            prefix = f"{name}."
+            cache.load_state_dict(
+                {key[len(prefix):]: value for key, value in state.items() if key.startswith(prefix)}
+            )

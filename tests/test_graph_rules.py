@@ -566,7 +566,7 @@ class TestREP000ParseErrorPipeline:
 
 
 # ---------------------------------------------------------------------------
-# Engine behavior: parallelism, --changed scoping, graph export plumbing
+# Engine behavior: --changed scoping, graph export plumbing
 # ---------------------------------------------------------------------------
 
 
@@ -580,16 +580,6 @@ class TestEngineParallelAndScope:
                 encoding="utf-8",
             )
         return tmp_path
-
-    def test_finding_order_identical_across_worker_counts(self, tmp_path):
-        tree = self.seed_tree(tmp_path)
-        config = LintConfig(select=("REP001",))
-        serial = lint_paths([tree], config=config, root=tmp_path, jobs=1)
-        pooled = lint_paths([tree], config=config, root=tmp_path, jobs=6)
-        assert renders(serial) == renders(pooled)
-        assert renders(serial) == sorted(
-            renders(serial)
-        ), "findings must come back in sorted path:line:col order"
 
     def test_module_scope_restricts_per_module_rules_only(self, tmp_path):
         tree = self.seed_tree(tmp_path)

@@ -326,6 +326,24 @@ class TestEngineKernels:
         for row in range(len(keys)):
             assert np.array_equal(orders[row], np.argsort(-keys[row], kind="stable"))
 
+    @pytest.mark.parametrize("descending", [True, False])
+    def test_ranking_orders_fast_path_is_the_stable_sort(self, descending):
+        rng = np.random.default_rng(1)
+        keys = rng.standard_normal((9, 300))
+        keys[1, ::10] = keys[1, 5]  # ties
+        keys[2, [3, 90, 250]] = np.nan
+        keys[3, :5] = [0.0, -0.0, 0.0, -0.0, 0.0]  # signed zeros compare equal
+        keys[4, [7, 8]] = [np.inf, -np.inf]
+        keys[5] = rng.integers(0, 3, 300)
+        keys[6, :] = np.nan
+        keys[7, 10] = np.nan
+        keys[7, 20] = keys[7, 30]
+        orders = scoring.ranking_orders(keys, descending=descending)
+        signed = -keys if descending else keys
+        expected = np.argsort(signed, axis=1, kind="stable")
+        assert orders.dtype == expected.dtype
+        assert np.array_equal(orders, expected)
+
     def test_as_batch_scorer_rejects_non_models(self):
         with pytest.raises(ConfigError, match="not evaluable"):
             scoring.as_batch_scorer(object())

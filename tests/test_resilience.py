@@ -13,10 +13,12 @@ Proves the three headline guarantees:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core.clapf import clapf_map
+from repro.core.clapf import clapf_map, clapf_plus_map
 from repro.data.dataset import DatasetSplit
 from repro.data.interactions import InteractionMatrix
 from repro.experiments.grid import grid_search
@@ -125,6 +127,19 @@ class TestCheckpointFiles:
         assert np.array_equal(loaded.best_params.item_bias, original.best_params.item_bias)
         assert loaded.extra["model"] == "CLAPF-MAP"
 
+    def test_sampler_state_roundtrip(self, tmp_path):
+        original = self._checkpoint()
+        snapshot = np.random.default_rng(3).standard_normal((8, 3))
+        original.sampler_state = {
+            "ranking.calls_since_refresh": 2,
+            "ranking.snapshot": snapshot,
+        }
+        loaded = load_checkpoint(save_checkpoint(tmp_path / "ckpt.npz", original))
+        assert loaded.sampler_step == 17
+        assert loaded.sampler_state.keys() == original.sampler_state.keys()
+        assert loaded.sampler_state["ranking.calls_since_refresh"] == 2
+        assert np.array_equal(loaded.sampler_state["ranking.snapshot"], snapshot)
+
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = save_checkpoint(tmp_path / "ckpt.npz", self._checkpoint())
         with np.load(path, allow_pickle=False) as archive:
@@ -171,31 +186,68 @@ class TestKillAndResume:
         model.fit(train)
         return model
 
-    @pytest.mark.parametrize("model_factory", [
-        lambda **kw: clapf_map(seed=3, sgd=sgd_config(), **kw),
-        lambda **kw: BPR(seed=3, sgd=sgd_config(), **kw),
-        lambda **kw: GBPR(seed=3, sgd=sgd_config(), group_size=2, **kw),
-    ], ids=["CLAPF-MAP", "BPR", "GBPR"])
-    def test_resume_is_bitwise_identical(self, tmp_path, train_matrix, model_factory):
+    @pytest.mark.parametrize("model_factory, n_pairs, every, kill_epoch", [
+        pytest.param(lambda **kw: clapf_map(seed=3, sgd=sgd_config(), **kw), 120, 2, 4,
+                     id="CLAPF-MAP"),
+        pytest.param(lambda **kw: BPR(seed=3, sgd=sgd_config(), **kw), 120, 2, 4, id="BPR"),
+        pytest.param(lambda **kw: GBPR(seed=3, sgd=sgd_config(), group_size=2, **kw), 120, 2, 4,
+                     id="GBPR"),
+        # 6 steps per epoch against DSS's refresh interval of ceil(ln 40) = 4:
+        # the epoch-2 checkpoint (step 18) falls between two cache refreshes.
+        pytest.param(lambda **kw: clapf_plus_map(seed=3, sgd=sgd_config(), **kw), 110, 1, 3,
+                     id="CLAPF+-MAP"),
+    ])
+    def test_resume_is_bitwise_identical(self, tmp_path, model_factory, n_pairs, every, kill_epoch):
+        train = make_train(n_pairs=n_pairs)
         reference = model_factory()
-        reference.fit(train_matrix)
+        reference.fit(train)
 
-        steps = sgd_config().steps_per_epoch(train_matrix.n_interactions)
+        steps = sgd_config().steps_per_epoch(train.n_interactions)
         killed = model_factory(
-            checkpoint=CheckpointConfig(tmp_path, every=2, keep=None),
-            fault_injector=FaultInjector(kill_at_step=4 * steps + 3),
+            checkpoint=CheckpointConfig(tmp_path, every=every, keep=None),
+            fault_injector=FaultInjector(kill_at_step=kill_epoch * steps + 3),
         )
         with pytest.raises(SimulatedKill):
-            killed.fit(train_matrix)
+            killed.fit(train)
         assert latest_checkpoint(tmp_path) is not None
-        assert load_checkpoint(latest_checkpoint(tmp_path)).epoch == 3
+        checkpoint = load_checkpoint(latest_checkpoint(tmp_path))
+        assert checkpoint.epoch == kill_epoch - 1
+        calls = checkpoint.sampler_state.get("ranking.calls_since_refresh")
+        if calls is not None:  # adaptive sampler: resume mid refresh interval
+            assert 0 < calls < int(np.ceil(np.log(train.n_items)))
 
         resumed = model_factory()
-        resumed.fit(train_matrix, resume_from=tmp_path)
+        resumed.fit(train, resume_from=tmp_path)
         assert np.array_equal(resumed.params_.user_factors, reference.params_.user_factors)
         assert np.array_equal(resumed.params_.item_factors, reference.params_.item_factors)
         assert np.array_equal(resumed.params_.item_bias, reference.params_.item_bias)
         assert resumed.loss_history_ == pytest.approx(reference.loss_history_)
+
+    def test_checkpoint_without_cache_state_resumes_cold(self, tmp_path):
+        """A checkpoint written before cache state was recorded still resumes."""
+        train = make_train(n_pairs=110)
+        clapf_plus_map(
+            seed=3, sgd=sgd_config(n_epochs=2),
+            checkpoint=CheckpointConfig(tmp_path, every=1, keep=None),
+        ).fit(train)
+        path = latest_checkpoint(tmp_path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {
+                name: archive[name].copy()
+                for name in archive.files
+                if not name.startswith("sampler.")
+            }
+        metadata = json.loads(str(arrays["metadata"]))
+        del metadata["sampler_state"], metadata["checksum"]
+        arrays["metadata"] = np.array(json.dumps(metadata))
+        with open(path, "wb") as handle:  # repro: allow(REP003) — older-format fixture
+            np.savez(handle, **arrays)  # repro: allow(REP003) — older-format fixture
+        assert load_checkpoint(path).sampler_state == {}
+
+        first = clapf_plus_map(seed=3, sgd=sgd_config(n_epochs=3)).fit(train, resume_from=path)
+        second = clapf_plus_map(seed=3, sgd=sgd_config(n_epochs=3)).fit(train, resume_from=path)
+        assert np.array_equal(first.params_.user_factors, second.params_.user_factors)
+        assert first.sampler.step == 3 * sgd_config().steps_per_epoch(train.n_interactions)
 
     def test_climf_resume_is_bitwise_identical(self, tmp_path, train_matrix):
         config = sgd_config(n_epochs=5)

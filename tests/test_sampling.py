@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.data.interactions import InteractionMatrix
 from repro.data.synthetic import SyntheticConfig, generate_synthetic
 from repro.mf.params import FactorParams
+from repro.sampling.abs import AlphaBetaSampler
 from repro.sampling.aobpr import AdaptiveOversampler
 from repro.sampling.base import TupleBatch
 from repro.sampling.dns import DynamicNegativeSampler
@@ -18,7 +19,7 @@ from repro.sampling.geometric import (
     truncated_geometric,
 )
 from repro.sampling.uniform import UniformSampler
-from repro.utils.exceptions import ConfigError, DataError, NotFittedError
+from repro.utils.exceptions import CheckpointError, ConfigError, DataError, NotFittedError
 
 
 @pytest.fixture
@@ -195,6 +196,95 @@ class TestUserPositiveRankingCache:
             values = params.item_factors[items, 0]
             assert np.all(np.diff(values) >= -1e-12)
             assert sorted(items.tolist()) == train.positives(user).tolist()
+
+
+    @staticmethod
+    def _lexsort_reference(train, item_factors):
+        """Per-factor ``np.lexsort`` over (user, factor value) — the old kernel."""
+        users = np.repeat(np.arange(train.n_users), train.user_counts())
+        rows = [
+            train.indices[np.lexsort((item_factors[train.indices, q], users))]
+            for q in range(item_factors.shape[1])
+        ]
+        return np.stack(rows)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_orders_match_per_user_lexsort(self, seed):
+        rng = np.random.default_rng(seed)
+        n_users, n_items, d = 40, 60, 7
+        # Users 0 and 1 own no positives; users 2 and 3 own exactly one.
+        pairs = [(2, 5), (3, 59)] + [
+            (int(u), int(i))
+            for u, i in zip(rng.integers(4, n_users, 600), rng.integers(0, n_items, 600))
+        ]
+        train = InteractionMatrix.from_pairs(pairs, n_users=n_users, n_items=n_items)
+        assert train.n_positives(0) == train.n_positives(1) == 0
+        assert train.n_positives(2) == train.n_positives(3) == 1
+        params = FactorParams.init(n_users, n_items, d, seed=seed)
+        item_factors = params.item_factors
+        item_factors[:, 0] = rng.integers(0, 3, n_items)  # heavy ties
+        item_factors[:, 1] = rng.choice([-0.0, 0.0, 1.0], n_items)  # signed zeros tie
+        item_factors[:, 2] = 0.5  # one constant column
+        item_factors[::7, 3] = item_factors[1::7, 3][: len(item_factors[::7, 3])]
+        item_factors[::5, 4] = np.nan  # NaN sorts last, ties by item id
+        cache = UserPositiveRankingCache(train, params, refresh_interval=1)
+        cache.maybe_refresh()
+        assert np.array_equal(cache._orders, self._lexsort_reference(train, item_factors))
+
+    def test_int64_keys_when_user_item_product_overflows_int32(self):
+        n_users = n_items = 1 << 16  # n_users * n_items == 2**32
+        rng = np.random.default_rng(0)
+        pairs = np.column_stack([rng.integers(0, n_users, 300), rng.integers(0, n_items, 300)])
+        pairs[:3] = [[n_users - 1, n_items - 1], [n_users - 1, 0], [n_users - 1, 7]]
+        train = InteractionMatrix.from_pairs(pairs, n_users=n_users, n_items=n_items)
+        params = FactorParams.init(n_users, n_items, 2, seed=1)
+        params.item_factors[:, 1] = rng.integers(0, 4, n_items)
+        cache = UserPositiveRankingCache(train, params, refresh_interval=1)
+        cache.maybe_refresh()
+        assert cache._user_keys.dtype == np.int64
+        assert np.array_equal(cache._orders, self._lexsort_reference(train, params.item_factors))
+
+
+class TestRankingCacheState:
+    """A restored cache ranks the snapshot it was saved with, on the same phase."""
+
+    @pytest.mark.parametrize("factory", [
+        lambda: DoubleSampler("map", refresh_interval=3),
+        lambda: AdaptiveOversampler(refresh_interval=3),
+        lambda: AlphaBetaSampler(refresh_interval=3),
+    ], ids=["DSS", "AoBPR", "ABS"])
+    def test_restored_sampler_draws_like_the_original(self, factory, train, params):
+        original = factory().bind(train, params)
+        rng = np.random.default_rng(7)
+        for _ in range(4):  # one step past the refresh at step 4
+            original.sample(32, rng)
+        state = original.state_dict()
+        assert state["ranking.calls_since_refresh"] == 1
+        rng_state = rng.bit_generator.state
+        # SGD moves the factors; the caches keep ranking the old snapshot.
+        params.item_factors[:] = -params.item_factors
+        expected = [original.sample(32, rng) for _ in range(4)]
+
+        restored = factory().bind(train, params)
+        restored.load_state_dict(state)
+        assert restored.step == 4
+        rng.bit_generator.state = rng_state
+        for want in expected:
+            got = restored.sample(32, rng)
+            for field in ("users", "pos_i", "pos_k", "neg_j"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_missing_snapshot_leaves_cache_cold(self, params):
+        cache = FactorRankingCache(params, refresh_interval=3)
+        cache.load_state_dict({})
+        assert cache.state_dict() == {}
+        cache.maybe_refresh()
+        assert cache.rebuilds_ == 1
+
+    def test_snapshot_shape_mismatch_rejected(self, params):
+        cache = FactorRankingCache(params, refresh_interval=3)
+        with pytest.raises(CheckpointError, match="snapshot shape"):
+            cache.load_state_dict({"snapshot": np.zeros((2, 2)), "calls_since_refresh": 1})
 
 
 class TestAdaptiveSamplers:
