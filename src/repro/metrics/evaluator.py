@@ -8,12 +8,15 @@ relevant items.
 
 Evaluation runs on the batched scoring engine
 (:mod:`repro.metrics.scoring`): users are processed in chunks through
-``predict_batch``, candidate/relevance masks are built per chunk with a
-vectorized CSR scatter, top-k comes from a row-wise ``argpartition``,
-and the rank-biased metrics (MAP/MRR/AUC) derive from integer candidate
-ranks computed by sort + ``searchsorted``.  Every kernel is
-chunk-invariant, so the chunked (and ``n_jobs``-threaded) path
-reproduces the sequential per-user protocol bitwise — asserted by
+``predict_batch``.  Per chunk, relevant ``(row, item)`` pairs are read
+straight from the CSR arrays and the exclusion mask is built once; top-k
+comes from ``topk_from_matrix``, and NDCG looks up each row's hit
+pattern in a per-chunk DCG table.  Every score row is then sorted once:
+two ``searchsorted`` calls per row against it give each relevant item's
+candidate rank (MAP, MRR) and its below/tied counts (AUC, with the
+positive-vs-positive counts from one chunk-wide integer sort).  Every
+kernel is chunk-invariant, so the chunked (and ``n_jobs``-threaded)
+path reproduces the sequential per-user protocol bitwise — asserted by
 ``evaluate_sequential``, the original per-user loop kept as the
 reference implementation.
 """
@@ -62,6 +65,29 @@ class EvaluationResult:
     def as_row(self, keys: Sequence[str]) -> list[float]:
         """Metric values in the order of ``keys`` (for table rendering)."""
         return [self.metrics[key] for key in keys]
+
+
+def ndcg_from_hits(hit_at: np.ndarray, n_relevant: np.ndarray, k: int) -> np.ndarray:
+    """Per-row binary NDCG@k from top-k hit flags.
+
+    ``hit_at[r, p]`` says whether row ``r``'s item at position ``p`` is
+    relevant; ``n_relevant[r]`` (>= 1) sizes the ideal ranking.  A chunk
+    holds few distinct hit patterns, so each pattern's DCG is computed
+    once — with the same ``float(gains @ discounts)`` as
+    :func:`repro.metrics.topk.ndcg_at_k`, hence bitwise equal to it —
+    and rows look theirs up, as they do the IDCG of their ideal count.
+    """
+    kk = min(k, hit_at.shape[1])
+    discounts = 1.0 / np.log2(np.arange(2, kk + 2))
+    patterns, inverse = np.unique(hit_at[:, :kk], axis=0, return_inverse=True)
+    dcg = np.array([float(pattern.astype(np.float64) @ discounts) for pattern in patterns])
+    ideal = np.minimum(k, n_relevant)
+    idcg = np.array(
+        [float(np.sum(1.0 / np.log2(np.arange(2, count + 2)))) for count in range(ideal.max() + 1)]
+    )
+    # min() guards the perfect ranking against float summation pushing
+    # the ratio infinitesimally above 1, as ndcg_at_k does.
+    return np.minimum(dcg[inverse.reshape(-1)] / idcg[ideal], 1.0)
 
 
 def _score_function(model) -> ScoreFunction:
@@ -262,39 +288,35 @@ class Evaluator:
                 f"expected ({len(chunk_users)}, {n_items})"
             )
 
-        relevant = scoring.positives_mask(self._relevant_source, chunk_users)
         excluded = scoring.positives_mask(split.train, chunk_users)
         if split.validation is not None and not self.use_validation_as_relevant:
-            excluded = scoring.positives_mask(split.validation, chunk_users, out=excluded)
-        candidates = ~excluded
-        relevant &= candidates
-
-        keep = relevant.sum(axis=1) > 0
-        chunk_users = chunk_users[keep]
+            scoring.positives_mask(split.validation, chunk_users, out=excluded)
+        rows, items = scoring.positives_pairs(self._relevant_source, chunk_users)
+        candidate = ~excluded[rows, items]
+        rows, items = rows[candidate], items[candidate]
+        n_relevant = np.bincount(rows, minlength=len(chunk_users))
+        keep = n_relevant > 0
+        if not keep.all():
+            rows = (np.cumsum(keep) - 1)[rows]
+            chunk_users, scores = chunk_users[keep], scores[keep]
+            excluded, n_relevant = excluded[keep], n_relevant[keep]
         if not len(chunk_users):
             return {key: np.zeros(0) for key in self.metric_keys()}
-        scores = scores[keep]
-        relevant = relevant[keep]
-        candidates = candidates[keep]
         if restricted is not None:
-            candidates = np.stack([restricted[int(user)] for user in chunk_users])
-        n_relevant = relevant.sum(axis=1)
-        n_candidates = candidates.sum(axis=1)
+            excluded = ~np.stack([restricted[int(user)] for user in chunk_users])
+        n_excluded = np.count_nonzero(excluded, axis=1)
         n_rows = len(chunk_users)
+        # A new array: predict_batch may hand back model-owned memory.
+        masked = np.where(excluded, -np.inf, scores)
 
-        masked = np.where(candidates, scores, -np.inf)
-        k_max = max(self.ks)
-        ranked = scoring.topk_from_matrix(masked, k_max)  # (B, width)
-        width = ranked.shape[1]
-        hit_at = np.take_along_axis(relevant, ranked, axis=1)
+        ranked = scoring.topk_from_matrix(masked, max(self.ks))  # (B, width)
+        hit_at = np.isin(
+            np.arange(n_rows)[:, None] * n_items + ranked, rows * n_items + items
+        )
         cum_hits = np.cumsum(hit_at, axis=1)
-        discounts = 1.0 / np.log2(np.arange(2, width + 2))
-        idcg_cache: dict[int, float] = {}
-
         out: dict[str, np.ndarray] = {}
         for k in self.ks:
-            kk = min(k, width)
-            hits = cum_hits[:, kk - 1]
+            hits = cum_hits[:, min(k, ranked.shape[1]) - 1]
             precision = hits / k
             recall = hits / n_relevant
             denominator = precision + recall
@@ -305,54 +327,39 @@ class Evaluator:
                 denominator > 0.0, 2.0 * precision * recall / safe, 0.0
             )
             out[f"1-call@{k}"] = np.where(hits > 0, 1.0, 0.0)
-            # NDCG keeps a tiny per-user dot product: each user's DCG is
-            # the same np.dot the scalar metric computes, so the values
-            # (not just their sum) match the sequential path bitwise.
-            gains = hit_at[:, :kk].astype(np.float64)
-            head_discounts = discounts[:kk]
-            ndcg = np.empty(n_rows)
-            for row in range(n_rows):
-                dcg = float(gains[row] @ head_discounts)
-                ideal = min(k, int(n_relevant[row]))
-                idcg = idcg_cache.get(ideal)
-                if idcg is None:
-                    idcg = float(np.sum(1.0 / np.log2(np.arange(2, ideal + 2))))
-                    idcg_cache[ideal] = idcg
-                ndcg[row] = min(dcg / idcg, 1.0)
-            out[f"ndcg@{k}"] = ndcg
+            out[f"ndcg@{k}"] = ndcg_from_hits(hit_at, n_relevant, k)
 
-        # Rank-biased metrics from integer candidate ranks.
-        rel_rows, rel_items = np.nonzero(relevant)
-        ranks = scoring.candidate_ranks(masked, rel_rows, rel_items, candidate_mask=candidates)
-        segment_starts = np.searchsorted(rel_rows, np.arange(n_rows))
-        segment_stops = np.searchsorted(rel_rows, np.arange(n_rows), side="right")
-        ap = np.empty(n_rows)
-        mrr = np.empty(n_rows)
-        auc = np.empty(n_rows)
-        for row in range(n_rows):
-            segment = slice(segment_starts[row], segment_stops[row])
-            row_ranks = ranks[segment]
-            ranks_sorted = np.sort(row_ranks)
-            precisions = np.arange(1, len(ranks_sorted) + 1, dtype=np.float64) / ranks_sorted
-            ap[row] = float(precisions.mean())
-            mrr[row] = float(1.0 / row_ranks.min())
-            n_pos = len(row_ranks)
-            n_neg = int(n_candidates[row]) - n_pos
-            if n_neg <= 0:
-                auc[row] = 0.0
-            else:
-                # Midrank AUC (ties get 0.5 credit) from raw candidate
-                # scores, through the same helper — and therefore the
-                # same float ops — as the sequential path's
-                # ranking.area_under_curve, keeping chunk invariance.
-                auc[row] = ranking.auc_from_scores(
-                    scores[row][candidates[row]],
-                    scores[row][rel_items[segment]],
-                    n_neg,
-                )
+        # Rank-biased metrics, all from the one row sort in candidate_ranks.
+        counts = scoring.candidate_ranks(masked, rows, items, excluded, n_excluded)
+        starts = np.cumsum(n_relevant) - n_relevant
+        first = np.repeat(starts, n_relevant)
+        # Integer keys row * (n_items + 1) + count keep every row's
+        # entries in their own ascending band of one chunk-wide sort.
+        offsets = rows * (n_items + 1)
+        ranks_sorted = np.sort(counts.ranks + offsets) - offsets
+        precisions = (np.arange(1, len(rows) + 1) - first) / ranks_sorted
+        # AP keeps numpy's per-row mean: a segmented sum would add in a
+        # different order than the sequential path and differ in the last bit.
+        ap = np.array(
+            [precisions[start:stop].mean() for start, stop in zip(starts, starts + n_relevant)]
+        )
+        # AUC's positive-vs-positive counts: positive j scores below
+        # positive i iff below_j + tied_j <= below_i, and ties it iff
+        # below_j == below_i.
+        below_keys = counts.below + offsets
+        at_or_below = np.sort(below_keys + counts.tied)
+        below_sorted = np.sort(below_keys)
+        below_pos = np.searchsorted(at_or_below, below_keys, side="right") - first
+        tied_pos = np.searchsorted(below_sorted, below_keys, side="right") - np.searchsorted(
+            below_sorted, below_keys, side="left"
+        )
+        below_neg = np.add.reduceat(counts.below - below_pos, starts)
+        tied_neg = np.add.reduceat(counts.tied - tied_pos, starts)
+        n_neg = n_items - n_excluded - n_relevant
+        correct = below_neg.astype(np.float64) + 0.5 * tied_neg.astype(np.float64)
         out["map"] = ap
-        out["mrr"] = mrr
-        out["auc"] = auc
+        out["mrr"] = 1.0 / ranks_sorted[starts]
+        out["auc"] = np.where(n_neg > 0, correct / np.maximum(n_relevant * n_neg, 1), 0.0)
         return out
 
     # ------------------------------------------------------------------

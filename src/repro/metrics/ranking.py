@@ -122,24 +122,12 @@ def area_under_curve(
         raise DataError("requested rank of an item outside the candidate set")
     if n_neg <= 0:
         return 0.0
-    return auc_from_scores(scores[candidate_mask], scores[relevant], n_neg)
-
-
-def auc_from_scores(
-    candidate_scores: np.ndarray,
-    positive_scores: np.ndarray,
-    n_neg: int,
-) -> float:
-    """Midrank AUC from raw candidate/positive score vectors.
-
-    For each positive, count the negatives scoring strictly below it
-    plus half the negatives tying it, via two ``searchsorted`` passes
-    (one against all candidates, one against the positives, whose
-    difference isolates the negatives).  Shared by
-    :func:`area_under_curve` and the batched evaluator so the chunked
-    path reproduces the sequential one bitwise.
-    """
-    candidate_sorted = np.sort(candidate_scores)
+    # For each positive, the negatives scoring strictly below it plus
+    # half those tying it, via two searchsorted passes: one against all
+    # candidates, one against the positives, whose difference isolates
+    # the negatives.
+    candidate_sorted = np.sort(scores[candidate_mask])
+    positive_scores = scores[relevant]
     positive_sorted = np.sort(positive_scores)
     below_all = np.searchsorted(candidate_sorted, positive_scores, side="left")
     tied_all = np.searchsorted(candidate_sorted, positive_scores, side="right") - below_all
@@ -148,7 +136,7 @@ def auc_from_scores(
     below_neg = below_all - below_pos
     tied_neg = tied_all - tied_pos
     correct = float(below_neg.sum()) + 0.5 * float(tied_neg.sum())
-    return correct / (len(positive_scores) * n_neg)
+    return correct / (n_pos * n_neg)
 
 
 def mean_metric(values) -> float:

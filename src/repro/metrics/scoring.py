@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -164,6 +164,24 @@ def map_chunks(fn: Callable, chunks: Sequence, n_jobs: int | None = None) -> lis
 # ----------------------------------------------------------------------
 # Mask / top-k / rank primitives on a chunk matrix
 # ----------------------------------------------------------------------
+def positives_pairs(
+    matrix: InteractionMatrix, users: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, items)`` of each user's positives, read straight from the CSR.
+
+    ``rows[t]`` indexes ``users`` and ascends; each row's items keep the
+    CSR order.  Vectorized gather: no per-user Python loop.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    counts = matrix.user_counts()[users]
+    total = int(counts.sum())
+    rows = np.repeat(np.arange(len(users), dtype=np.int64), counts)
+    # Offset of each interaction inside its own user's row.
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    items = matrix.indices[np.repeat(matrix.indptr[users], counts) + offsets]
+    return rows, items
+
+
 def positives_mask(
     matrix: InteractionMatrix,
     users: np.ndarray,
@@ -172,21 +190,13 @@ def positives_mask(
 ) -> np.ndarray:
     """Boolean ``(len(users), n_items)`` matrix of each user's positives.
 
-    Vectorized CSR scatter: no per-user Python loop.
+    Vectorized CSR scatter of :func:`positives_pairs` (ORed into ``out``
+    when given).
     """
-    users = np.asarray(users, dtype=np.int64)
     if out is None:
         out = np.zeros((len(users), matrix.n_items), dtype=bool)
-    counts = matrix.user_counts()[users]
-    total = int(counts.sum())
-    if total:
-        row_ids = np.repeat(np.arange(len(users), dtype=np.int64), counts)
-        # Offset of each interaction inside its own user's row.
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        flat = matrix.indices[np.repeat(matrix.indptr[users], counts) + offsets]
-        out[row_ids, flat] = True
+    rows, items = positives_pairs(matrix, users)
+    out[rows, items] = True
     return out
 
 
@@ -280,27 +290,42 @@ def topk_with_retrieval(
     return [ranked[row] for row in range(len(ranked))]
 
 
+class CandidateRanks(NamedTuple):
+    """Per-entry counts from one row sort (see :func:`candidate_ranks`)."""
+
+    ranks: np.ndarray
+    """1-based rank among the row's candidates: descending score, ties
+    by item id, NaN last (the stable ``argsort(-scores)`` order)."""
+    below: np.ndarray
+    """Candidates scoring strictly below the entry (NaN counts as the
+    largest value, as in ``np.searchsorted``)."""
+    tied: np.ndarray
+    """Candidates tying the entry's score, itself included."""
+
+
 def candidate_ranks(
     masked_scores: np.ndarray,
     rows: np.ndarray,
     items: np.ndarray,
-    *,
-    candidate_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """1-based ranks of ``(rows[t], items[t])`` among each row's candidates.
+    excluded: np.ndarray,
+    n_excluded: np.ndarray,
+) -> CandidateRanks:
+    """Ranks and score counts of ``(rows[t], items[t])`` among each row's candidates.
 
-    ``masked_scores`` is the chunk score matrix with non-candidates set
-    to ``-inf``; ``rows`` must be sorted ascending (as produced by
-    ``np.nonzero`` on a mask).  Reproduces
-    :func:`repro.metrics.ranking.rank_of_items` — descending score,
-    stable tie-break by item id — without the per-user full argsort:
-    a row sort plus two ``searchsorted`` calls give the count of
-    strictly-greater candidates and the tie width; only genuinely tied
-    entries pay for an exact tie-position count.
+    ``masked_scores`` is the chunk score matrix with the ``excluded``
+    items set to ``-inf`` (``n_excluded`` counts them per row); ``rows``
+    must be grouped in ascending order.  Each row is sorted once, and
+    two ``searchsorted`` calls per row against it give, for every
+    entry, the counts of items strictly below and at-or-below its score.
+    Everything else follows from those counts:
 
-    ``candidate_mask`` is only consulted in the (rare) tie fix-up, to
-    keep ``-inf``-scoring *candidates* distinguishable from excluded
-    items (both sit at ``-inf`` in ``masked_scores``).
+    * ``ranks`` reproduce :func:`repro.metrics.ranking.rank_of_items`
+      without its per-user stable argsort: only entries tied with
+      another item pay for an exact count of the tied candidates before
+      them;
+    * ``below`` / ``tied`` are the candidate-only counts
+      :func:`repro.metrics.ranking.area_under_curve` takes from its own
+      sort, recovered by discounting the ``-inf`` excluded items.
     """
     rows = np.asarray(rows, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
@@ -308,29 +333,34 @@ def candidate_ranks(
     values = masked_scores[rows, items]
     sorted_rows = np.sort(masked_scores, axis=1)
 
-    greater = np.empty(len(rows), dtype=np.int64)
-    tie_width = np.empty(len(rows), dtype=np.int64)
-    boundaries = np.flatnonzero(np.diff(rows)) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [len(rows)]))
-    for start, stop in zip(starts, stops):
-        if start == stop:
-            continue
+    left = np.empty(len(rows), dtype=np.int64)
+    right = np.empty(len(rows), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    for start, stop in zip(starts, np.r_[starts[1:], len(rows)]):
         row_sorted = sorted_rows[rows[start]]
         segment = values[start:stop]
-        right = np.searchsorted(row_sorted, segment, side="right")
-        left = np.searchsorted(row_sorted, segment, side="left")
-        greater[start:stop] = n_items - right
-        tie_width[start:stop] = right - left
+        left[start:stop] = np.searchsorted(row_sorted, segment, side="left")
+        right[start:stop] = np.searchsorted(row_sorted, segment, side="right")
 
-    ranks = greater + 1
-    for t in np.flatnonzero(tie_width > 1):
-        row, item, value = rows[t], items[t], values[t]
-        tied_before = masked_scores[row, :item] == value
-        if candidate_mask is not None:
-            tied_before &= candidate_mask[row, :item]
+    # The ascending sort puts NaN last as the largest value, but the
+    # descending ranking also puts NaN last: a number ranks after the
+    # numbers above it only, and a NaN after every non-NaN candidate.
+    n_nan = np.zeros(len(sorted_rows), dtype=np.int64)
+    nan_rows = np.flatnonzero(np.isnan(sorted_rows[:, -1]))
+    n_nan[nan_rows] = np.count_nonzero(np.isnan(sorted_rows[nan_rows]), axis=1)
+    row_excluded = n_excluded[rows]
+    is_nan = np.isnan(values)
+    ranks = np.where(is_nan, left - row_excluded, n_items - n_nan[rows] - right) + 1
+    for t in np.flatnonzero(right - left > 1):
+        row, item = rows[t], items[t]
+        before = masked_scores[row, :item]
+        tied_before = np.isnan(before) if is_nan[t] else before == values[t]
+        tied_before &= ~excluded[row, :item]
         ranks[t] += np.count_nonzero(tied_before)
-    return ranks
+
+    # Excluded items sit at -inf: below every other score, tied with -inf.
+    low = np.maximum(left, row_excluded)
+    return CandidateRanks(ranks=ranks, below=low - row_excluded, tied=right - low)
 
 
 def ranking_orders(keys: np.ndarray, *, descending: bool = True) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.metrics.scoring import topk_from_matrix
 from repro.utils.exceptions import ConfigError
 
 
@@ -25,35 +26,25 @@ def _check_k(k: int) -> int:
 
 
 def top_k_items(scores: np.ndarray, k: int, *, exclude: np.ndarray | None = None) -> np.ndarray:
-    """Indices of the ``k`` highest-scoring items, best first.
+    """Indices of the ``k`` highest-scoring items, best first, ties by item id.
+
+    A one-row call into :func:`repro.metrics.scoring.topk_from_matrix`,
+    the library's one top-k kernel.
 
     Parameters
     ----------
     scores:
         Score vector over all items.
     exclude:
-        Item ids to remove from consideration (e.g. training positives).
+        Item ids to remove from consideration (e.g. training positives);
+        they are scored ``-inf``.
     """
     _check_k(k)
     scores = np.asarray(scores, dtype=np.float64)
     if exclude is not None and len(exclude):
         scores = scores.copy()
         scores[np.asarray(exclude, dtype=np.int64)] = -np.inf
-    k = min(k, len(scores))
-    if k == len(scores):
-        # Skip the partition at the boundary: one stable full sort keeps
-        # the ties-by-item-id contract (argpartition's survivor order is
-        # unspecified), matching scoring.topk_from_matrix exactly.
-        return np.argsort(-scores, kind="stable")
-    # Same discipline as scoring.topk_from_matrix: survivors sorted
-    # ascending before the stable score-sort (within-top ties come out
-    # id-ascending), and a full-sort redo when argpartition's boundary
-    # *selection* is ambiguous (more than k items tie at the k-th score).
-    top = np.sort(np.argpartition(-scores, k - 1)[:k])
-    top = top[np.argsort(-scores[top], kind="stable")]
-    if np.count_nonzero(scores >= scores[top[-1]]) > k:
-        return np.argsort(-scores, kind="stable")[:k]
-    return top
+    return topk_from_matrix(scores[None, :], k)[0]
 
 
 def hits_at_k(recommended: np.ndarray, relevant, k: int) -> int:

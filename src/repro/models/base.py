@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.data.interactions import InteractionMatrix
 from repro.metrics import scoring
+from repro.metrics.evaluator import ndcg_from_hits
 from repro.mf.functional import log_sigmoid, sigmoid
 from repro.mf.params import FactorParams
 from repro.mf.sgd import EarlyStoppingConfig, RegularizationConfig, SGDConfig
@@ -67,24 +68,14 @@ def validation_ndcg(
         return 0.0
     scorer = scoring.as_batch_scorer(model)
     validation_counts = validation.user_counts()
-    idcg_cache: dict[int, float] = {}
     values = []
     for chunk in scoring.iter_user_chunks(users, chunk_size):
         scores = np.asarray(scorer(chunk), dtype=np.float64)
         masked = np.where(scoring.positives_mask(train, chunk), -np.inf, scores)
         ranked = scoring.topk_from_matrix(masked, k)
         hit_at = np.take_along_axis(scoring.positives_mask(validation, chunk), ranked, axis=1)
-        discounts = 1.0 / np.log2(np.arange(2, ranked.shape[1] + 2))
-        for row in range(len(chunk)):
-            gains = hit_at[row].astype(np.float64)
-            dcg = float(gains @ discounts)
-            ideal = min(k, int(validation_counts[chunk[row]]))
-            idcg = idcg_cache.get(ideal)
-            if idcg is None:
-                idcg = float(np.sum(1.0 / np.log2(np.arange(2, ideal + 2))))
-                idcg_cache[ideal] = idcg
-            values.append(min(dcg / idcg, 1.0))
-    return float(np.mean(values))
+        values.append(ndcg_from_hits(hit_at, validation_counts[chunk], k))
+    return float(np.mean(np.concatenate(values)))
 
 
 class Recommender(ABC):

@@ -16,11 +16,14 @@ the deprecation of bare score callables.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import make_profile_dataset, train_test_split
 from repro.core.clapf import CLAPF
+from repro.data.interactions import InteractionMatrix
 from repro.experiments.config import ExperimentScale
 from repro.experiments.registry import make_model
 from repro.experiments.runner import run_method
@@ -118,6 +121,94 @@ class TestPredictBatchBitwise:
         )
 
 
+class TableModel:
+    """Scores read from a fixed ``(n_users, n_items)`` table."""
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    def predict_user(self, user: int) -> np.ndarray:
+        return self.table[user].copy()
+
+    def predict_batch(self, users: np.ndarray) -> np.ndarray:
+        if np.array_equal(users, np.arange(len(self.table))):
+            return self.table  # the model's own array, not a copy
+        return self.table[users]
+
+
+def _overlapping_split(train, test, validation, n_users, n_items):
+    """A split whose test positives may overlap train (DatasetSplit forbids it)."""
+
+    def as_matrix(pairs):
+        return InteractionMatrix.from_pairs(pairs, n_users, n_items)
+
+    return SimpleNamespace(
+        train=as_matrix(train), test=as_matrix(test), validation=as_matrix(validation),
+        n_items=n_items,
+    )
+
+
+@pytest.fixture(scope="module")
+def adversarial():
+    """Users and scores built to hit every edge of the batched metric kernels.
+
+    Users: 140 and 12 relevant items (both branches of numpy's pairwise
+    sum in AP), 3 and 2 candidates left (fewer than k), test positives
+    all or partly inside train.  Scores: heavy ties, -inf candidates,
+    NaN candidates and positives, signed-zero ties, 40 items tied at the
+    top, all-NaN, all-equal and nearly all -inf rows.
+    """
+    n_users, n_items = 10, 400
+    rng = np.random.default_rng(3)
+    train, test, validation = [], [], []
+
+    def add(user, n_train, n_test, n_overlap=0):
+        items = rng.permutation(n_items)
+        taken = items[:n_train]
+        fresh = items[n_train : n_train + n_test - n_overlap]
+        train.extend((user, int(i)) for i in taken)
+        test.extend((user, int(i)) for i in np.concatenate([fresh, taken[:n_overlap]]))
+        validation.append((user, int(items[-1])))
+
+    add(0, 50, 140)
+    add(1, 30, 12)
+    add(2, 394, 3)
+    add(3, 397, 2)
+    add(4, 20, 5, n_overlap=5)
+    add(5, 20, 10, n_overlap=4)
+    for user in range(6, n_users):
+        add(user, 15, 10)
+    split = _overlapping_split(train, test, validation, n_users, n_items)
+
+    table = rng.standard_normal((n_users, n_items)).round(1)
+    first_test = {u: split.test.positives(u) for u in range(n_users)}
+    table[0, first_test[0][:7]] = -np.inf
+    table[0, rng.choice(n_items, 30, replace=False)] = -np.inf
+    table[1, rng.choice(n_items, 25, replace=False)] = np.nan
+    table[1, first_test[1][:3]] = np.nan
+    table[1, split.train.positives(1)[:5]] = np.nan
+    table[2] = 0.0
+    table[2, rng.choice(n_items, 200, replace=False)] = -0.0
+    table[2, split.train.positives(2)[:50]] = 1.0
+    table[3, first_test[3][0]] = -np.inf
+    table[5, rng.choice(n_items, 40, replace=False)] = 9.0
+    table[5, first_test[5][:2]] = 9.0
+    table[6] = np.nan
+    table[7] = 1.0
+    table[8] = -np.inf
+    table[8, first_test[8][:2]] = 0.5
+    table[8, rng.choice(n_items, 5, replace=False)] = 0.5
+    return split, table
+
+
+def _assert_bitwise_per_user(batched, sequential):
+    assert batched.n_users == sequential.n_users
+    for key, values in sequential.per_user.items():
+        got = batched.per_user[key]
+        assert got.dtype == values.dtype == np.float64, key
+        assert np.array_equal(got.view(np.int64), values.view(np.int64)), key
+
+
 class TestEvaluatorEquivalence:
     """Chunked / threaded evaluation == the sequential reference, exactly."""
 
@@ -194,6 +285,40 @@ class TestEvaluatorEquivalence:
         with pytest.raises(TypeError, match="no longer accepted"):
             scoring.as_batch_scorer(lambda user: scores)
 
+    @pytest.mark.parametrize("chunk_size", [1, 3, 1000])
+    @pytest.mark.parametrize(
+        "mode",
+        [{}, {"use_validation_as_relevant": True}, {"sampled_candidates": 20}],
+        ids=["test", "validation", "sampled"],
+    )
+    def test_adversarial_scores_match_per_user(self, adversarial, chunk_size, mode):
+        split, table = adversarial
+        model = TableModel(table)
+        kwargs = dict(ks=(1, 5, 10, 20), seed=4, keep_per_user=True, **mode)
+        sequential = Evaluator(split, **kwargs).evaluate_sequential(model)
+        batched = Evaluator(split, chunk_size=chunk_size, **kwargs).evaluate(model)
+        _assert_bitwise_per_user(batched, sequential)
+
+    def test_adversarial_drops_users_without_candidate_positives(self, adversarial):
+        split, table = adversarial
+        result = Evaluator(split, ks=(5,), keep_per_user=True).evaluate(TableModel(table))
+        assert result.n_users == 9  # user 4's test items all lie in train
+
+    def test_model_owned_scores_left_unchanged(self, adversarial):
+        split, table = adversarial
+        owned = table.copy()
+        model = TableModel(owned)
+        Evaluator(split, ks=(1, 5), chunk_size=1000).evaluate(model)
+        assert np.array_equal(owned.view(np.int64), table.view(np.int64))
+
+    def test_validation_ndcg_matches_evaluator(self, adversarial):
+        split, table = adversarial
+        model = TableModel(table)
+        for k in (1, 5, 20):
+            expected = Evaluator(split, ks=(k,), use_validation_as_relevant=True).evaluate(model)
+            got = validation_ndcg(model, split.train, split.validation, k=k)
+            assert got == expected[f"ndcg@{k}"]
+
 
 class TestRecommendBatch:
     def test_matches_per_user_recommend(self, split, fitted_models):
@@ -224,6 +349,12 @@ class TestValidationNdcg:
             validation_ndcg(
                 model.params_.predict_user, split.train, split.validation, k=5
             )
+
+    def test_matches_evaluator_validation_mode(self, split, fitted_models):
+        """Early stopping and the evaluator share one NDCG, bit for bit."""
+        model = fitted_models["CLAPF-MAP"]
+        expected = Evaluator(split, ks=(5,), use_validation_as_relevant=True).evaluate(model)
+        assert validation_ndcg(model, split.train, split.validation, k=5) == expected["ndcg@5"]
 
     def test_chunking_does_not_change_result(self, split, fitted_models):
         model = fitted_models["BPR"]
