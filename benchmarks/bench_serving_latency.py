@@ -11,7 +11,8 @@ tier), throughput, and the count of deadline overruns.
 Every response is checked on the way through: non-empty, in-catalog,
 with provenance — a response failure fails the benchmark, not just a
 threshold.  Results land in ``BENCH_serving.json`` so the serving
-latency trajectory is tracked in-repo.
+latency trajectory is tracked in-repo, with a provenance block (git
+sha, python/numpy/BLAS versions, cpu count, the command and its seed).
 
 Usage::
 
@@ -30,10 +31,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT), str(REPO_ROOT / "src")]
 
 import numpy as np  # noqa: E402
 
+from perfbench.provenance import provenance  # noqa: E402
 from repro import BPR, make_profile_dataset, train_test_split  # noqa: E402
 from repro.mf.sgd import SGDConfig  # noqa: E402
 from repro.serving import (  # noqa: E402
@@ -194,6 +196,10 @@ def main(argv: list[str] | None = None) -> int:
         "requests_per_level": args.requests,
         "levels": levels,
         "smoke": bool(args.smoke),
+        "provenance": provenance(
+            REPO_ROOT, [str(Path(__file__).relative_to(REPO_ROOT)), *sys.argv[1:]],
+            {"seed": args.seed},
+        ),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -19,9 +19,11 @@ breaker implements the classic three-state machine:
   breaker (window cleared); any probe failure re-opens it and restarts
   the cooldown.
 
-All timing flows through an injectable :class:`~repro.serving.clock.Clock`,
+All timing flows through an injectable :class:`~repro.utils.clock.Clock`,
 so the full state machine is unit-testable with a fake clock and zero
-sleeps.  The breaker is thread-safe: the serving executor may record
+sleeps.  The window keeps a running failure count beside its event
+deque, so recording, pruning and reading the rate are O(1) per call
+however many samples the window holds.  The breaker is thread-safe: the serving executor may record
 results from worker threads while the request loop calls ``allow()``.
 """
 
@@ -115,6 +117,7 @@ class CircuitBreaker:
         self.obs = as_registry(obs)
         self._lock = threading.Lock()
         self._events: deque[tuple[float, bool]] = deque()  # (timestamp, failed)
+        self._failures = 0  # failed events in ``_events``
         self._state = CLOSED
         self._opened_at = 0.0
         self._probes_in_flight = 0
@@ -135,7 +138,7 @@ class CircuitBreaker:
             self._prune()
             if not self._events:
                 return 0.0
-            return sum(failed for _, failed in self._events) / len(self._events)
+            return self._failures / len(self._events)
 
     # -- the request-path API --------------------------------------------
     def allow(self) -> bool:
@@ -186,10 +189,11 @@ class CircuitBreaker:
                 # A straggler from before the trip; the window is moot.
                 return
             self._events.append((now, failed))
+            self._failures += failed
             self._prune()
-            if len(self._events) >= self.config.min_calls:
-                failures = sum(f for _, f in self._events)
-                if failures / len(self._events) >= self.config.failure_rate_threshold:
+            calls = len(self._events)
+            if calls >= self.config.min_calls:
+                if self._failures / calls >= self.config.failure_rate_threshold:
                     self._open(now)
 
     def _transition(self, to: str) -> None:
@@ -203,6 +207,7 @@ class CircuitBreaker:
         self._state = OPEN
         self._opened_at = now
         self._events.clear()
+        self._failures = 0
         self._probes_in_flight = 0
         self._probe_successes = 0
         self.opened_count_ += 1
@@ -211,6 +216,7 @@ class CircuitBreaker:
     def _close(self) -> None:
         self._state = CLOSED
         self._events.clear()
+        self._failures = 0
         self._probes_in_flight = 0
         self._probe_successes = 0
         self._transition(CLOSED)
@@ -226,7 +232,7 @@ class CircuitBreaker:
     def _prune(self) -> None:
         horizon = self.clock.monotonic() - self.config.window_seconds
         while self._events and self._events[0][0] < horizon:
-            self._events.popleft()
+            self._failures -= self._events.popleft()[1]
 
     def snapshot(self) -> dict:
         """JSON-ready view of the breaker for monitoring endpoints."""
@@ -234,7 +240,7 @@ class CircuitBreaker:
             self._maybe_enter_half_open()
             self._prune()
             n = len(self._events)
-            failures = sum(f for _, f in self._events)
+            failures = self._failures
             return {
                 "name": self.name,
                 "state": self._state,

@@ -18,7 +18,7 @@ Two executor strategies implement the ``call(fn, budget_ms)`` contract:
 * :class:`InlineExecutor` — runs the call inline and raises
   :class:`~repro.utils.exceptions.DeadlineExceeded` *after the fact*
   when the measured latency exceeded the budget.  With a
-  :class:`~repro.serving.clock.FakeClock` this makes every deadline
+  :class:`~repro.utils.clock.FakeClock` this makes every deadline
   path deterministic and sleep-free in tests; it cannot pre-empt a call
   mid-flight, so production setups should prefer the threaded strategy.
 

@@ -1,21 +1,28 @@
 """The deadline-bounded, degradation-aware recommendation service.
 
 :class:`RecommendationService` is the request path that fronts a fitted
-:class:`~repro.models.base.Recommender` in production.  Per request it
+:class:`~repro.models.base.Recommender` in production.  There is one
+cascade, :meth:`~RecommendationService.recommend_batch`; a single
+request is a batch of one.  Per batch it
 
-1. starts a :class:`~repro.serving.deadline.Deadline` from the request
-   (or service default) budget;
-2. walks the fallback cascade tier by tier, skipping any tier whose
-   :class:`~repro.serving.breaker.CircuitBreaker` is open, granting
-   each attempted tier only the *remaining* budget through a
-   :class:`~repro.serving.deadline.BudgetExecutor`;
-3. records every outcome into the tier's breaker (timeouts and slow
-   successes count against the latency threshold) and the per-tier
-   stats;
-4. returns a :class:`RecommendationResponse` carrying full provenance:
-   which tier answered (``served_by``), whether that was a degradation
-   (``degraded``), how much budget was left (``deadline_ms_left``), and
-   the live model version.
+1. starts one :class:`~repro.serving.deadline.Deadline` from the
+   smallest request (or service default) budget in the batch;
+2. walks the fallback cascade tier by tier.  At each tier a request is
+   skipped when the tier names a ``skip_reason`` for it (a cold user at
+   the personalized tier — not a failure) or when the tier's
+   :class:`~repro.serving.breaker.CircuitBreaker` or the request's
+   shard breaker is open; the rest are scored by one
+   ``tier.serve_batch`` call granted only the *remaining* budget
+   through a :class:`~repro.serving.deadline.BudgetExecutor`;
+3. records every attempted request's outcome into the tier's breaker
+   (timeouts and slow successes count against the latency threshold),
+   its shard breaker and the per-tier stats, so a batch of N moves
+   them exactly as N single requests would; failed requests move on to
+   the next tier;
+4. returns one :class:`RecommendationResponse` per request carrying
+   full provenance: which tier answered (``served_by``), whether that
+   was a degradation (``degraded``), how much budget was left
+   (``deadline_ms_left``), and the live model version.
 
 If every tier is open, erroring, or out of budget, the request is still
 answered from a precomputed static popularity ranking — the service
@@ -26,7 +33,7 @@ zero-failed-requests property the chaos suite enforces).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -39,7 +46,7 @@ from repro.serving.breaker import BreakerConfig, CircuitBreaker
 from repro.utils.clock import Clock, as_clock
 from repro.serving.deadline import BudgetExecutor, Deadline, ThreadedExecutor
 from repro.serving.reload import ModelSlot
-from repro.serving.schema import RecommendationResponse, ServedResponse
+from repro.serving.schema import RecommendationResponse
 from repro.serving.tiers import (
     FoldInTier,
     ItemKNNTier,
@@ -218,24 +225,6 @@ class RecommendationService:
             return None
         return self.shard_breakers.get(int(shard))
 
-    def _record_shard_failure(self, error: Exception, remaining_ms: float) -> bool:
-        """Charge a :class:`ShardError` to its shard's breaker.
-
-        Returns True when the failure was shard-local (and recorded
-        there); False means the caller should charge the tier breaker.
-        """
-        shard = getattr(error, "shard", None)
-        if not isinstance(error, ShardError) or shard is None:
-            return False
-        breaker = self.shard_breakers.get(int(shard))
-        if breaker is None:
-            return False
-        breaker.record_failure(remaining_ms)
-        self.obs.counter(
-            "serving_shard_failures_total", shard=str(int(shard))
-        ).inc()
-        return True
-
     def _finalize_ranking(self, items: np.ndarray) -> np.ndarray:
         if self.reranker is None:
             return items
@@ -263,271 +252,216 @@ class RecommendationService:
         return self._degraded_mode
 
     # -- the request path -------------------------------------------------
-    def recommend(self, request: RecommendationRequest | int, *, k: int | None = None) -> RecommendationResponse:
-        """Serve one request; never raises, never returns an empty list."""
-        if not isinstance(request, RecommendationRequest):
-            request = RecommendationRequest(user=int(request), k=k or 5)
-        deadline = Deadline(
-            request.deadline_ms or self.config.default_deadline_ms, clock=self.clock
-        )
-        self.requests_served_ += 1
-        if self._degraded_mode:
-            return self._emergency_response(
-                request, deadline, {"degraded_mode": self._degraded_reason or "forced"}
-            )
-        errors: dict[str, str] = {}
-        primary = self.tiers[0].name
-
-        obs = self.obs
-        for tier in self.tiers:
-            breaker = self.breakers[tier.name]
-            stats = self.stats[tier.name]
-            remaining = deadline.remaining_ms()
-            if remaining <= 0:
-                errors[tier.name] = "deadline exhausted"
-                break
-            if not breaker.allow():
-                stats.skipped_open += 1
-                obs.counter("serving_skipped_open_total", tier=tier.name).inc()
-                errors[tier.name] = "breaker open"
-                continue
-            shard_breaker = self._shard_breaker_for(tier, request)
-            if shard_breaker is not None and not shard_breaker.allow():
-                stats.skipped_open += 1
-                obs.counter("serving_shard_skipped_open_total", tier=tier.name).inc()
-                errors[tier.name] = f"{shard_breaker.name} open"
-                continue
-            try:
-                items, latency_ms = self.executor.call(
-                    lambda tier=tier: self._run_tier(tier, request), remaining
-                )
-            except DeadlineExceeded as error:
-                breaker.record_failure(remaining)
-                if shard_breaker is not None:
-                    shard_breaker.record_failure(remaining)
-                stats.timeouts += 1
-                stats.record_error("deadline exceeded")
-                obs.counter("serving_timeouts_total", tier=tier.name).inc()
-                errors[tier.name] = f"deadline exceeded ({error})"
-                continue
-            except Exception as error:  # noqa: BLE001 - cascade boundary
-                if self._record_shard_failure(error, deadline.remaining_ms()):
-                    # A shard-local fault charges only that shard's
-                    # breaker.  The tier machinery itself behaved, so its
-                    # breaker sees a success sample — it stays closed for
-                    # every other shard's users (and half-open probe
-                    # accounting stays balanced).
-                    breaker.record_success(0.0)
-                else:
-                    breaker.record_failure(deadline.remaining_ms())
-                    if shard_breaker is not None:
-                        shard_breaker.record_failure(deadline.remaining_ms())
-                stats.failures += 1
-                stats.record_error(str(error) or type(error).__name__)
-                obs.counter("serving_failures_total", tier=tier.name).inc()
-                errors[tier.name] = str(error) or type(error).__name__
-                continue
-            breaker.record_success(latency_ms)
-            if shard_breaker is not None:
-                shard_breaker.record_success(latency_ms)
-            stats.served += 1
-            degraded = tier.name != primary
-            obs.counter("serving_served_total", tier=tier.name).inc()
-            obs.histogram("serving_tier_latency_ms", tier=tier.name).observe(latency_ms)
-            obs.histogram("serving_request_latency_ms").observe(deadline.elapsed_ms())
-            if degraded:
-                obs.counter("serving_degraded_total").inc()
-            return RecommendationResponse(
-                user=request.user,
-                items=self._finalize_ranking(items),
-                served_by=tier.name,
-                degraded=degraded,
-                deadline_ms_left=deadline.remaining_ms(),
-                latency_ms=deadline.elapsed_ms(),
-                model_version=self.slot.version if self.slot is not None else None,
-                model_age_s=self._model_age_s(),
-                retrieval=str(getattr(tier, "retrieval_name", "exact")),
-                tier_errors=errors,
-            )
-
-        return self._emergency_response(request, deadline, errors)
-
-    def recommend_many(
-        self, requests: Iterable[RecommendationRequest | int]
-    ) -> list[RecommendationResponse]:
-        """Serve a sequence of requests (each with its own deadline)."""
-        return [self.recommend(request) for request in requests]
+    def recommend(
+        self, request: RecommendationRequest | int, *, k: int | None = None
+    ) -> RecommendationResponse:
+        """Serve one request: a batch of one through :meth:`recommend_batch`."""
+        return self.recommend_batch([request], k=k)[0]
 
     def recommend_batch(
         self, requests: Sequence[RecommendationRequest | int], *, k: int | None = None
     ) -> list[RecommendationResponse]:
-        """Serve a coalesced batch through one primary-tier scoring call.
+        """Serve requests through the cascade; never raises, never returns an empty list.
 
-        The micro-batching fast path behind the HTTP edge: all warm,
-        in-range users are scored in a *single* ``predict_batch`` call
-        on the primary tier (one einsum instead of one per request),
-        under one shared deadline (the smallest budget in the batch)
-        and one breaker verdict.  Because the scoring kernel is
-        chunk-invariant, each batched ranking is bitwise identical to
-        what :meth:`recommend` would have produced for that request.
-
-        Requests the batch path cannot serve — cold or out-of-range
-        users, rows poisoned non-finite, a thrown/timed-out batch call,
-        an open breaker — fall back to the per-request cascade, so the
-        zero-failed-requests property is inherited unchanged.
+        The batch walks the tiers together under one deadline (the
+        smallest budget in the batch).  At each tier, the requests still
+        unanswered are admitted one by one — a tier's
+        :meth:`~ServingTier.skip_reason` or an open tier/shard breaker
+        skips that request there — and the admitted ones are scored by a
+        single ``serve_batch`` call through the executor, so the
+        personalized tier ranks them all with one ``predict_batch``.
+        Each attempted request then settles its own breaker and stats
+        outcome, so a batch of N moves them exactly as N single
+        requests would.  A request the tier failed moves on to the next
+        tier; one no tier answers gets the static popularity ranking.
         """
-        normalized = [
+        batch = [
             request
             if isinstance(request, RecommendationRequest)
             else RecommendationRequest(user=int(request), k=k or 5)
             for request in requests
         ]
-        if not normalized:
+        if not batch:
             return []
-        responses: list[ServedResponse | None] = [None] * len(normalized)
-        primary = self.tiers[0]
-        if not self._degraded_mode and isinstance(primary, PersonalizedTier):
-            budget = min(
-                request.deadline_ms or self.config.default_deadline_ms
-                for request in normalized
-            )
-            deadline = Deadline(budget, clock=self.clock)
-            # Users on a shard whose breaker is open never join the
-            # batch: they fall straight to the per-request cascade
-            # (which records the skip), so one rotted shard cannot keep
-            # dragging whole batches down with it.
-            eligible: list[int] = []
-            batch_shard_breakers: dict[int, CircuitBreaker] = {}
-            for index, request in enumerate(normalized):
-                if not primary.eligible(request):
-                    continue
-                shard_breaker = self._shard_breaker_for(primary, request)
-                if shard_breaker is not None:
-                    if not shard_breaker.allow():
-                        continue
-                    batch_shard_breakers[index] = shard_breaker
-                eligible.append(index)
-            breaker = self.breakers[primary.name]
-            stats = self.stats[primary.name]
-            obs = self.obs
-            if eligible and breaker.allow():
-                batch_requests = [normalized[index] for index in eligible]
-
-                def scored() -> list[np.ndarray | None]:
-                    if self.chaos is not None:
-                        self.chaos.before_call(primary.name)
-                    return primary.serve_batch(batch_requests)
-
-                try:
-                    rankings, latency_ms = self.executor.call(
-                        scored, deadline.remaining_ms()
-                    )
-                except DeadlineExceeded:
-                    breaker.record_failure(deadline.remaining_ms())
-                    for shard_breaker in batch_shard_breakers.values():
-                        shard_breaker.record_failure(deadline.remaining_ms())
-                    stats.timeouts += 1
-                    stats.record_error("deadline exceeded (batch)")
-                    obs.counter("serving_timeouts_total", tier=primary.name).inc()
-                except Exception as error:  # noqa: BLE001 - cascade boundary
-                    shard = getattr(error, "shard", None)
-                    failing = (
-                        self.shard_breakers.get(int(shard))
-                        if isinstance(error, ShardError) and shard is not None
-                        else None
-                    )
-                    if failing is not None:
-                        # Shard-local fault: the tier behaved, exactly one
-                        # shard did not.  Healthy shards' admitted probes
-                        # resolve as successes so their breakers stay
-                        # closed; every request falls to the per-request
-                        # cascade, where only the bad shard's users skip
-                        # the primary tier.
-                        breaker.record_success(0.0)
-                        failing.record_failure(deadline.remaining_ms())
-                        obs.counter(
-                            "serving_shard_failures_total", shard=str(int(shard))
-                        ).inc()
-                        for shard_breaker in batch_shard_breakers.values():
-                            if shard_breaker is not failing:
-                                shard_breaker.record_success(0.0)
-                    else:
-                        breaker.record_failure(deadline.remaining_ms())
-                        for shard_breaker in batch_shard_breakers.values():
-                            shard_breaker.record_failure(deadline.remaining_ms())
-                    stats.failures += 1
-                    stats.record_error(str(error) or type(error).__name__)
-                    obs.counter("serving_failures_total", tier=primary.name).inc()
+        deadline = Deadline(
+            min(request.deadline_ms or self.config.default_deadline_ms for request in batch),
+            clock=self.clock,
+        )
+        self.requests_served_ += len(batch)
+        if self._degraded_mode:
+            reason = {"degraded_mode": self._degraded_reason or "forced"}
+            return [self._emergency_response(r, deadline, dict(reason)) for r in batch]
+        errors: list[dict[str, str]] = [{} for _ in batch]
+        responses: list[RecommendationResponse | None] = [None] * len(batch)
+        pending = list(range(len(batch)))
+        for tier in self.tiers:
+            remaining = deadline.remaining_ms()
+            if remaining <= 0:
+                for index in pending:
+                    errors[index][tier.name] = "deadline exhausted"
+                break
+            admitted = []
+            for index in pending:
+                shard_breaker = self._shard_breaker_for(tier, batch[index])
+                skip = self._skip(tier, batch[index], shard_breaker)
+                if skip is None:
+                    admitted.append((index, shard_breaker))
                 else:
-                    breaker.record_success(latency_ms)
-                    for shard_breaker in batch_shard_breakers.values():
-                        shard_breaker.record_success(latency_ms)
-                    obs.histogram(
-                        "serving_batch_size", tier=primary.name
-                    ).observe(len(batch_requests))
-                    version = self.slot.version if self.slot is not None else None
-                    model_age_s = self._model_age_s()
-                    retrieval = str(getattr(primary, "retrieval_name", "exact"))
-                    for offset, index in enumerate(eligible):
-                        items = rankings[offset]
-                        if items is None:
-                            continue  # non-finite row; per-request cascade decides
-                        stats.served += 1
-                        self.requests_served_ += 1
-                        obs.counter("serving_served_total", tier=primary.name).inc()
-                        obs.histogram(
-                            "serving_tier_latency_ms", tier=primary.name
-                        ).observe(latency_ms)
-                        obs.histogram("serving_request_latency_ms").observe(
-                            deadline.elapsed_ms()
-                        )
-                        responses[index] = ServedResponse(
-                            user=normalized[index].user,
-                            items=self._finalize_ranking(items),
-                            served_by=primary.name,
-                            degraded=False,
-                            deadline_ms_left=deadline.remaining_ms(),
-                            latency_ms=deadline.elapsed_ms(),
-                            model_version=version,
-                            model_age_s=model_age_s,
-                            retrieval=retrieval,
-                            tier_errors={},
-                        )
+                    errors[index][tier.name] = skip
+            if not admitted:
+                continue
+            group = [batch[index] for index, _ in admitted]
+            try:
+                outcomes, latency_ms = self.executor.call(
+                    lambda tier=tier, group=group: self._serve_group(tier, group),
+                    remaining,
+                )
+            except Exception as error:  # noqa: BLE001 - cascade boundary
+                outcomes, latency_ms = [error] * len(group), 0.0
+            for (index, shard_breaker), outcome in zip(admitted, outcomes):
+                error = self._settle(tier, shard_breaker, outcome, latency_ms)
+                if error is not None:
+                    errors[index][tier.name] = error
+                    continue
+                self.obs.histogram("serving_tier_latency_ms", tier=tier.name).observe(latency_ms)
+                responses[index] = self._respond(
+                    batch[index], outcome, tier.name, deadline, errors[index],
+                    retrieval=str(getattr(tier, "retrieval_name", "exact")),
+                )
+            pending = [index for index in pending if responses[index] is None]
+            if not pending:
+                break
         return [
-            response if response is not None else self.recommend(normalized[index])
+            response
+            if response is not None
+            else self._emergency_response(batch[index], deadline, errors[index])
             for index, response in enumerate(responses)
         ]
 
-    def _run_tier(self, tier: ServingTier, request: RecommendationRequest) -> np.ndarray:
+    def _skip(
+        self,
+        tier: ServingTier,
+        request: RecommendationRequest,
+        shard_breaker: CircuitBreaker | None,
+    ) -> str | None:
+        """Why ``tier`` skips ``request`` (recording breaker skips), else None."""
+        reason = tier.skip_reason(request)
+        if reason is not None:
+            return reason
+        if not self.breakers[tier.name].allow():
+            self.stats[tier.name].skipped_open += 1
+            self.obs.counter("serving_skipped_open_total", tier=tier.name).inc()
+            return "breaker open"
+        if shard_breaker is not None and not shard_breaker.allow():
+            self.stats[tier.name].skipped_open += 1
+            self.obs.counter("serving_shard_skipped_open_total", tier=tier.name).inc()
+            return f"{shard_breaker.name} open"
+        return None
+
+    def _serve_group(
+        self, tier: ServingTier, group: list[RecommendationRequest]
+    ) -> list[np.ndarray | Exception]:
+        """One ``serve_batch`` call; each ranking checked against the catalog."""
         if self.chaos is not None:
             self.chaos.before_call(tier.name)
-        items = np.asarray(tier.serve(request), dtype=np.int64)
-        if items.ndim != 1 or len(items) == 0:
-            raise TierError(f"{tier.name}: returned an invalid ranking (shape {items.shape})")
-        if items.min() < 0 or items.max() >= self.train.n_items:
-            raise TierError(f"{tier.name}: returned out-of-catalog item ids")
-        return items
+        outcomes = list(tier.serve_batch(group))
+        if len(outcomes) != len(group):
+            raise TierError(f"{tier.name}: returned {len(outcomes)} rankings for {len(group)}")
+        self.obs.histogram("serving_batch_size", tier=tier.name).observe(len(group))
+        for row, items in enumerate(outcomes):
+            if isinstance(items, Exception):
+                continue
+            items = outcomes[row] = np.asarray(items, dtype=np.int64)
+            if items.ndim != 1 or len(items) == 0:
+                outcomes[row] = TierError(
+                    f"{tier.name}: returned an invalid ranking (shape {items.shape})"
+                )
+            elif items.min() < 0 or items.max() >= self.train.n_items:
+                outcomes[row] = TierError(f"{tier.name}: returned out-of-catalog item ids")
+        return outcomes
+
+    def _settle(
+        self,
+        tier: ServingTier,
+        shard_breaker: CircuitBreaker | None,
+        outcome: np.ndarray | Exception,
+        latency_ms: float,
+    ) -> str | None:
+        """Charge one attempted request's outcome to its breakers and
+        stats; returns its error text, or ``None`` when it was served."""
+        breaker = self.breakers[tier.name]
+        stats = self.stats[tier.name]
+        if not isinstance(outcome, Exception):
+            breaker.record_success(latency_ms)
+            if shard_breaker is not None:
+                shard_breaker.record_success(latency_ms)
+            stats.served += 1
+            return None
+        shard = getattr(outcome, "shard", None)
+        failing = (
+            self.shard_breakers.get(int(shard))
+            if isinstance(outcome, ShardError) and shard is not None
+            else None
+        )
+        if failing is not None:
+            # A shard-local fault charges only that shard's breaker.  The
+            # tier machinery itself behaved, so its breaker sees a success
+            # sample — it stays closed for every other shard's users (and
+            # half-open probe accounting stays balanced).
+            breaker.record_success(0.0)
+            failing.record_failure()
+            if shard_breaker is not None and shard_breaker is not failing:
+                shard_breaker.record_success(0.0)
+            self.obs.counter("serving_shard_failures_total", shard=str(int(shard))).inc()
+        else:
+            breaker.record_failure()
+            if shard_breaker is not None:
+                shard_breaker.record_failure()
+        if isinstance(outcome, DeadlineExceeded):
+            stats.timeouts += 1
+            stats.record_error("deadline exceeded")
+            self.obs.counter("serving_timeouts_total", tier=tier.name).inc()
+            return f"deadline exceeded ({outcome})"
+        message = str(outcome) or type(outcome).__name__
+        stats.failures += 1
+        stats.record_error(message)
+        self.obs.counter("serving_failures_total", tier=tier.name).inc()
+        return message
 
     def _emergency_response(
         self, request: RecommendationRequest, deadline: Deadline, errors: dict
     ) -> RecommendationResponse:
         """Answer from the precomputed popularity ranking, no matter what."""
-        k = min(request.k, self.train.n_items)
-        items = self._static_ranking[:k]
         self.stats[STATIC_POPULARITY].served += 1
-        self.obs.counter("serving_served_total", tier=STATIC_POPULARITY).inc()
-        self.obs.counter("serving_degraded_total").inc()
         self.obs.counter("serving_emergency_total").inc()
+        items = self._static_ranking[: min(request.k, self.train.n_items)].copy()
+        return self._respond(request, items, STATIC_POPULARITY, deadline, errors)
+
+    def _respond(
+        self,
+        request: RecommendationRequest,
+        items: np.ndarray,
+        served_by: str,
+        deadline: Deadline,
+        errors: dict,
+        *,
+        retrieval: str = "exact",
+    ) -> RecommendationResponse:
+        degraded = served_by != self.tiers[0].name
+        self.obs.counter("serving_served_total", tier=served_by).inc()
+        if degraded:
+            self.obs.counter("serving_degraded_total").inc()
         self.obs.histogram("serving_request_latency_ms").observe(deadline.elapsed_ms())
         return RecommendationResponse(
             user=request.user,
-            items=self._finalize_ranking(items.copy()),
-            served_by=STATIC_POPULARITY,
-            degraded=True,
+            items=self._finalize_ranking(items),
+            served_by=served_by,
+            degraded=degraded,
             deadline_ms_left=deadline.remaining_ms(),
             latency_ms=deadline.elapsed_ms(),
             model_version=self.slot.version if self.slot is not None else None,
             model_age_s=self._model_age_s(),
+            retrieval=retrieval,
             tier_errors=errors,
         )
 

@@ -15,11 +15,15 @@ best to most robust:
 4. :class:`PopularityTier` — the :class:`~repro.models.poprank.PopRank`
    ordering, which cannot fail.
 
-Each tier raises :class:`~repro.utils.exceptions.TierError` when it
-cannot serve a request; the service interprets that (or a timeout, or
-an open breaker) as "try the next tier".  Tiers are deliberately free
-of breaker/deadline logic — they only know how to score — so each can
-be unit-tested in isolation.
+The service calls every tier through :meth:`ServingTier.serve_batch`,
+which answers each request with a ranking or the error that request
+hit (a :class:`~repro.utils.exceptions.TierError` when the tier cannot
+serve it); an error, a timeout or an open breaker means "try the next
+tier".  A tier may name a :meth:`~ServingTier.skip_reason` up front
+(the personalized tier for cold users, fold-in and ItemKNN for users
+without any history), which the service treats as a skip, not a
+failure.  Tiers are deliberately free of breaker/deadline logic — they
+only know how to score — so each can be unit-tested in isolation.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from repro.data.interactions import InteractionMatrix
 from repro.metrics import scoring
 from repro.models.base import Recommender
-from repro.utils.exceptions import ConfigError, TierError
+from repro.utils.exceptions import ConfigError, ShardError, TierError
 
 PERSONALIZED = "personalized"
 FOLD_IN = "fold-in"
@@ -82,9 +86,38 @@ class ServingTier:
     name: str = "tier"
     #: Optional chaos-injection policy, set by the service at assembly.
     chaos: Any = None
+    #: Tiers that rank from the user's history skip users who have none.
+    needs_history: bool = False
 
     def serve(self, request: RecommendationRequest) -> np.ndarray:
         raise NotImplementedError
+
+    def skip_reason(self, request: RecommendationRequest) -> str | None:
+        """Why this tier cannot serve ``request`` at all, else ``None``.
+
+        The cascade skips a tier that names a reason without calling it
+        or charging its breaker: a request the tier was never meant to
+        serve says nothing about the tier's health.
+        """
+        if self.needs_history and len(self._train_history(request, self.train)) == 0:
+            return f"{self.name}: user {request.user} has no history"
+        return None
+
+    def serve_batch(
+        self, requests: list[RecommendationRequest]
+    ) -> list[np.ndarray | Exception]:
+        """One outcome per request, in order: its ranking or its error.
+
+        The cascade's entry point; this default serves each request
+        alone through :meth:`serve`.
+        """
+        outcomes: list[np.ndarray | Exception] = []
+        for request in requests:
+            try:
+                outcomes.append(self.serve(request))
+            except Exception as error:  # noqa: BLE001 - a per-request outcome
+                outcomes.append(error)
+        return outcomes
 
     # -- shared helpers ------------------------------------------------
     def _rank(
@@ -201,7 +234,7 @@ class PersonalizedTier(ServingTier):
 
     def _serve_retrieval(
         self, model: Recommender, requests: list[RecommendationRequest]
-    ) -> list[np.ndarray | None]:
+    ) -> list[np.ndarray | TierError]:
         from repro.retrieval.base import rerank_topk
 
         user_rows, item_factors, item_bias = self._factor_views(model)
@@ -218,67 +251,80 @@ class PersonalizedTier(ServingTier):
             vectors, item_factors, item_bias, min(k, self.train.n_items),
             self.retriever, exclude=exclude,
         )
-        out: list[np.ndarray | None] = []
-        for request, ranking in zip(requests, rankings):
-            out.append(ranking[: request.k] if len(ranking) else None)
-        return out
+        return [
+            ranking[: request.k]
+            if len(ranking)
+            else TierError(
+                f"{self.name}: {self.retrieval_name} shortlist empty for user {request.user}"
+            )
+            for request, ranking in zip(requests, rankings)
+        ]
 
-    def eligible(self, request: RecommendationRequest) -> bool:
-        """Whether this tier could serve ``request`` at all (warm, in range)."""
-        return (
-            0 <= request.user < self.train.n_users
-            and self.train.n_positives(request.user) > 0
-        )
+    def skip_reason(self, request: RecommendationRequest) -> str | None:
+        """Out-of-range and cold users have no personalized signal.
+
+        The cascade moves them on to fold-in (when the request carries
+        history) or popularity, with honest provenance.
+        """
+        if not (0 <= request.user < self.train.n_users):
+            return f"{self.name}: user {request.user} outside the trained range"
+        if self.train.n_positives(request.user) == 0:
+            return f"{self.name}: user {request.user} has no training history"
+        return None
 
     def serve(self, request: RecommendationRequest) -> np.ndarray:
-        model = self.current_model()
-        if not (0 <= request.user < self.train.n_users):
-            raise TierError(f"{self.name}: user {request.user} outside the trained range")
-        if self.train.n_positives(request.user) == 0:
-            # A cold user has no personalized signal; let the cascade
-            # pick fold-in (if the request carries history) or
-            # popularity, with honest provenance.
-            raise TierError(f"{self.name}: user {request.user} has no training history")
-        if self.retriever is not None and self.chaos is None:
-            ranking = self._serve_retrieval(model, [request])[0]
-            if ranking is None:
-                raise TierError(
-                    f"{self.name}: {self.retrieval_name} shortlist empty "
-                    f"for user {request.user}"
-                )
-            return ranking
-        scores = np.asarray(
-            model.predict_batch(np.asarray([request.user], dtype=np.int64))[0]
-        )
-        if self.chaos is not None:
-            scores = self.chaos.poison_scores(self.name, scores)
-        return self._rank(scores, request, self.train)
+        outcome = self.serve_batch([request])[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def serve_batch(
         self, requests: list[RecommendationRequest]
-    ) -> list[np.ndarray | None]:
-        """Score every request through one ``predict_batch`` call.
+    ) -> list[np.ndarray | Exception]:
+        """Score every servable request through one ``predict_batch`` call.
 
-        All requests must be :meth:`eligible`.  Returns one ranking per
-        request, in order; a request whose score row cannot be ranked
-        (e.g. poisoned non-finite) yields ``None`` so the caller's
-        cascade can degrade it individually.  The scoring kernel is
-        chunk-invariant, so each ranking is bitwise identical to the
-        one :meth:`serve` computes for the same request alone.
+        A request with a :meth:`skip_reason`, or whose score row cannot
+        be ranked (e.g. poisoned non-finite), gets a :class:`TierError`;
+        a :class:`ShardError` fails only the requests of its shard, and
+        the rest are scored again without them.  The kernel is
+        chunk-invariant, so each ranking is bitwise what the request
+        would get alone.
         """
         model = self.current_model()
+        reasons = [self.skip_reason(request) for request in requests]
+        outcomes: list = [None if r is None else TierError(r) for r in reasons]
+        pending = [index for index, reason in enumerate(reasons) if reason is None]
+        while pending:
+            try:
+                rankings = self._rank_batch(model, [requests[i] for i in pending])
+            except ShardError as error:
+                lost = {i for i in pending if self.shard_of(requests[i]) == error.shard}
+                if error.shard is None or not lost:
+                    raise
+                for index in lost:
+                    outcomes[index] = error
+                pending = [index for index in pending if index not in lost]
+            else:
+                for index, ranking in zip(pending, rankings):
+                    outcomes[index] = ranking
+                pending = []
+        return outcomes
+
+    def _rank_batch(
+        self, model: Recommender, requests: list[RecommendationRequest]
+    ) -> list[np.ndarray | TierError]:
         if self.retriever is not None and self.chaos is None:
             return self._serve_retrieval(model, requests)
         users = np.asarray([request.user for request in requests], dtype=np.int64)
         scores = np.asarray(model.predict_batch(users))
         if self.chaos is not None:
             scores = self.chaos.poison_scores(self.name, scores)
-        rankings: list[np.ndarray | None] = []
+        rankings: list[np.ndarray | TierError] = []
         for row, request in enumerate(requests):
             try:
                 rankings.append(self._rank(scores[row], request, self.train))
-            except TierError:
-                rankings.append(None)
+            except TierError as error:
+                rankings.append(error)
         return rankings
 
 
@@ -291,6 +337,7 @@ class FoldInTier(ServingTier):
     """
 
     name = FOLD_IN
+    needs_history = True
 
     def __init__(
         self,
@@ -336,6 +383,7 @@ class ItemKNNTier(ServingTier):
     """Tier 3: item-item cosine neighbours, independent of the factors."""
 
     name = ITEM_KNN
+    needs_history = True
 
     def __init__(self, knn: Any, train: InteractionMatrix, *, chaos: Any = None):
         if getattr(knn, "similarity_", None) is None:

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro import make_profile_dataset, train_test_split
+from repro.data.interactions import InteractionMatrix
+from repro.mf.params import FactorParams
 from repro.mf.sgd import SGDConfig
 from repro.models import BPR, ItemKNN, PopRank
 from repro.serving import (
@@ -29,6 +31,7 @@ from repro.serving import (
     ServiceConfig,
     ThreadedExecutor,
 )
+from repro.store import ShardedFactorStore, StoreBackedModel, write_factor_store
 from repro.utils.exceptions import ConfigError, DeadlineExceeded, TierError
 
 
@@ -47,6 +50,38 @@ def bpr(split):
     return BPR(n_factors=8, sgd=SGDConfig(n_epochs=2), seed=0).fit(
         split.train, split.validation
     )
+
+
+def sharded_world(seed=0, n_users=32, n_items=24, n_cold=6):
+    """A factor world whose last ``n_cold`` users have no training history."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n_items, size=(n_users - n_cold, 4))
+    pairs = sorted({(u, int(i)) for u in range(n_users - n_cold) for i in rows[u]})
+    train = InteractionMatrix.from_pairs(pairs, n_users=n_users, n_items=n_items)
+    params = FactorParams(
+        user_factors=rng.normal(size=(n_users, 4)),
+        item_factors=rng.normal(size=(n_items, 4)),
+        item_bias=rng.normal(size=n_items),
+    )
+    return train, params
+
+
+def mixed_requests(train, seed, n=40):
+    """Warm, cold in-range and out-of-range users, with and without
+    history, under mixed ``k`` and ``exclude_observed``."""
+    rng = np.random.default_rng(seed)
+    requests = []
+    for _ in range(n):
+        history = None
+        if rng.random() < 0.5:
+            history = tuple(int(i) for i in rng.choice(train.n_items, size=3, replace=False))
+        requests.append(RecommendationRequest(
+            user=int(rng.integers(0, train.n_users + 8)),
+            k=int(rng.integers(1, 8)),
+            history=history,
+            exclude_observed=bool(rng.random() < 0.7),
+        ))
+    return requests
 
 
 def make_service(model, train, *, deadline_ms=50.0, breaker=None, chaos=None, **kwargs):
@@ -233,13 +268,13 @@ class TestCascade:
         deadline_probe = RecommendationRequest(user=0, k=5, deadline_ms=10.0)
         # Exhaust the budget before any tier can be attempted by making
         # the first tier's call itself advance past the deadline.
-        original = service.tiers[0].serve
+        original = service.tiers[0].serve_batch
 
-        def slow_serve(request):
+        def slow_serve_batch(requests):
             clock.advance(1.0)  # 1000 ms >> 10 ms budget
-            return original(request)
+            return original(requests)
 
-        service.tiers[0].serve = slow_serve
+        service.tiers[0].serve_batch = slow_serve_batch
         response = service.recommend(deadline_probe)
         assert response.served_by == STATIC_POPULARITY
         assert response.degraded
@@ -257,13 +292,13 @@ class TestCascade:
         )
         assert clamped.deadline_ms_left == 0.0
         service, clock = make_service(bpr, split.train, deadline_ms=10.0)
-        original = service.tiers[0].serve
+        original = service.tiers[0].serve_batch
 
-        def slow_serve(request):
+        def slow_serve_batch(requests):
             clock.advance(5.0)
-            return original(request)
+            return original(requests)
 
-        service.tiers[0].serve = slow_serve
+        service.tiers[0].serve_batch = slow_serve_batch
         for user in range(4):
             response = service.recommend(RecommendationRequest(user=user, k=3))
             assert response.deadline_ms_left >= 0.0
@@ -276,14 +311,14 @@ class TestCascade:
         deadline_burner.advance(0.0)
         # Force every tier to fail so only the emergency path remains.
         for tier in service.tiers:
-            tier.serve = lambda request: (_ for _ in ()).throw(TierError("down"))
+            tier.serve_batch = lambda requests: (_ for _ in ()).throw(TierError("down"))
         response = service.recommend(request)
         assert response.served_by == STATIC_POPULARITY
         np.testing.assert_array_equal(response.items, expected)
 
     def test_breaker_opens_after_repeated_failures(self, split, bpr):
         service, _ = make_service(bpr, split.train)
-        service.tiers[0].serve = lambda request: (_ for _ in ()).throw(
+        service.tiers[0].serve_batch = lambda requests: (_ for _ in ()).throw(
             TierError("personalized scorer down")
         )
         user = int(warm_users(split.train)[0])
@@ -306,15 +341,6 @@ class TestCascade:
         assert snap["breakers"]["personalized"]["state"] == "closed"
         assert service.fallback_rate() == 0.0
 
-    def test_recommend_many(self, split, bpr):
-        service, _ = make_service(bpr, split.train)
-        users = warm_users(split.train)[:5]
-        responses = service.recommend_many(
-            [RecommendationRequest(user=int(u), k=3) for u in users]
-        )
-        assert len(responses) == 5
-        assert all(len(r.items) == 3 for r in responses)
-
     def test_context_manager_closes_executor(self, split, bpr):
         with make_service(bpr, split.train)[0] as service:
             user = int(warm_users(split.train)[0])
@@ -326,7 +352,9 @@ class TestCascade:
 
     def test_invalid_tier_output_is_a_failure_not_a_crash(self, split, bpr):
         service, _ = make_service(bpr, split.train)
-        service.tiers[0].serve = lambda request: np.zeros(0, dtype=np.int64)
+        service.tiers[0].serve_batch = lambda requests: [
+            np.zeros(0, dtype=np.int64) for _ in requests
+        ]
         user = int(warm_users(split.train)[0])
         response = service.recommend(RecommendationRequest(user=user))
         assert response.served_by != "personalized"
@@ -368,9 +396,9 @@ class TestColdUsersInModels:
         assert response.items[0] == 2
         assert "no training history" in response.tier_errors["personalized"]
 
-    def test_service_batch_cold_rows_match_singles(self, tiny_matrix):
+    def test_service_batch_cold_rows_match_singles(self, tiny_matrix, tmp_path):
         # recommend_batch must inherit the cold-user behavior bitwise:
-        # cold rows fall out of the batched einsum into the cascade.
+        # cold rows skip the personalized tier and fall through.
         bpr = BPR(n_factors=4, sgd=SGDConfig(n_epochs=1), seed=0).fit(tiny_matrix)
         service, _ = make_service(bpr, tiny_matrix)
         requests = [RecommendationRequest(user=user, k=4) for user in range(4)]
@@ -381,3 +409,63 @@ class TestColdUsersInModels:
             assert response.served_by == single.served_by
         assert batched[3].served_by == "popularity"
         assert batched[3].degraded is True
+
+        # recommend_batch(rs) == [recommend(r) for r in rs], response by
+        # response and in every tier's final stats, on a sharded store
+        # with one shard breaker held open.
+        train, params = sharded_world()
+        write_factor_store(tmp_path, params, dtype="float64", shard_size=8)
+        model = StoreBackedModel(ShardedFactorStore.open(tmp_path), train, version="v1")
+        seen_tiers, seen_errors = set(), set()
+        for seed in range(4):
+            sides = [make_service(model, train)[0] for _ in range(2)]
+            for side in sides:
+                for _ in range(3):
+                    side.shard_breakers[1].record_failure()
+                assert side.shard_breakers[1].state == "open"
+            requests = mixed_requests(train, seed)
+            batched = sides[0].recommend_batch(requests)
+            singles = [sides[1].recommend(request) for request in requests]
+            for response, single in zip(batched, singles):
+                np.testing.assert_array_equal(response.items, single.items)
+                assert response.items.dtype == single.items.dtype
+                assert response.served_by == single.served_by
+                assert response.degraded == single.degraded
+                assert response.tier_errors == single.tier_errors
+                seen_tiers.add(response.served_by)
+                seen_errors.update(response.tier_errors.values())
+            for name, stats in sides[0].stats.items():
+                assert stats.to_dict() == sides[1].stats[name].to_dict()
+        assert {"personalized", "fold-in", "popularity"} <= seen_tiers
+        assert "personalized-shard-1 open" in seen_errors
+        assert any("outside the trained range" in e for e in seen_errors)
+        assert any("no training history" in e for e in seen_errors)
+
+    def test_cold_heavy_stream_leaves_the_personalized_breaker_closed(self, tiny_matrix):
+        # Cold users skip the personalized tier; they are not its
+        # failures, so a 90 % cold stream cannot trip its breaker.
+        bpr = BPR(n_factors=4, sgd=SGDConfig(n_epochs=1), seed=0).fit(tiny_matrix)
+        service, clock = make_service(
+            bpr, tiny_matrix, breaker=BreakerConfig(min_calls=4)
+        )
+        warm = []
+        for t in range(100):
+            if t % 10 == 9:
+                request = RecommendationRequest(user=t % 3, k=3)
+            elif t % 2:  # in range, no training history
+                request = RecommendationRequest(user=3, k=3)
+            else:  # outside the trained range, with session history
+                request = RecommendationRequest(user=4 + t, k=3, history=(1, 2, 3))
+            response = service.recommend(request)
+            if t % 10 == 9:
+                warm.append(response)
+            else:
+                assert response.degraded
+                assert (
+                    "has no training history" if t % 2 else "outside the trained range"
+                ) in response.tier_errors["personalized"]
+            clock.advance(0.01)
+        assert service.breakers["personalized"].state == "closed"
+        assert service.stats["personalized"].failures == 0
+        assert len(warm) == 10
+        assert all(response.served_by == "personalized" for response in warm)

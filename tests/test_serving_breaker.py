@@ -7,6 +7,7 @@ deterministic pure function of recorded events and advanced time.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.serving import (
@@ -219,3 +220,79 @@ class TestFullLifecycle:
         assert snap["window_calls"] == 2
         assert snap["window_failures"] == 1
         assert snap["failure_rate"] == pytest.approx(0.5)
+
+
+class RecountingBreaker(CircuitBreaker):
+    """Reference trip rule: re-sum the whole window on every record, as
+    the breaker did before it kept a running failure count."""
+
+    def _record(self, *, failed: bool) -> None:
+        if self.state != CLOSED:
+            super()._record(failed=failed)
+            return
+        with self._lock:
+            now = self.clock.monotonic()
+            self._events.append((now, failed))
+            self._failures += failed
+            self._prune()
+            calls = len(self._events)
+            failures = sum(f for _, f in self._events)
+            threshold = self.config.failure_rate_threshold
+            if calls >= self.config.min_calls and failures / calls >= threshold:
+                self._open(now)
+
+
+class TestRunningCounts:
+    def test_counts_match_a_recount_through_every_transition(self):
+        config = BreakerConfig(
+            window_seconds=3.0,
+            min_calls=4,
+            failure_rate_threshold=0.5,
+            latency_threshold_ms=50.0,
+            cooldown_seconds=2.0,
+            half_open_max_probes=2,
+            half_open_successes=2,
+        )
+        clock = FakeClock()
+        breaker = CircuitBreaker(config, clock=clock)
+        reference = RecountingBreaker(config, clock=clock)
+        rng = np.random.default_rng(11)
+        transitions = set()
+        expiries = 0
+        previous = breaker.snapshot()
+        for step in range(4000):
+            clock.advance(float(rng.choice([0.01, 0.05, 0.2, 0.6, 3.5])))
+            # Alternate calm and sick stretches so the breaker trips,
+            # probes, re-opens and closes many times over.
+            failure_p = 0.7 if (step // 150) % 2 else 0.1
+            admitted = breaker.allow()
+            assert reference.allow() == admitted
+            if admitted:
+                roll = rng.random()
+                for b in (breaker, reference):
+                    if roll < failure_p / 2:
+                        b.record_failure()
+                    elif roll < failure_p:
+                        b.record_success(latency_ms=80.0)  # slow: a failure
+                    else:
+                        b.record_success(latency_ms=5.0)
+            snapshot = breaker.snapshot()
+            events = list(breaker._events)
+            assert snapshot["window_calls"] == len(events)
+            assert snapshot["window_failures"] == sum(failed for _, failed in events)
+            assert breaker.failure_rate() == (
+                snapshot["window_failures"] / len(events) if events else 0.0
+            )
+            assert snapshot["state"] == reference.state
+            assert breaker.opened_count_ == reference.opened_count_
+            if snapshot["state"] != previous["state"]:
+                transitions.add((previous["state"], snapshot["state"]))
+            elif snapshot["state"] == CLOSED and (
+                snapshot["window_calls"] < previous["window_calls"]
+            ):
+                expiries += 1
+            previous = snapshot
+        assert {
+            (CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED), (HALF_OPEN, OPEN),
+        } <= transitions
+        assert expiries > 0
