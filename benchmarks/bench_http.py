@@ -8,12 +8,19 @@ clients).  Mid-run, a chaos schedule kills the personalized tier and
 later clears it, so every level exercises the degradation path while
 requests are in flight.
 
+A level lasts a fraction of a second, so each level's breakers cool
+down for a tenth of its scheduled arrival span instead of the default
+10 s: the personalized tier can recover once the fault clears, and the
+fallback rate measures the fault window rather than the cooldown.
+
 Per level the report records request p50/p90/p99, throughput, the
 fallback rate (responses served below the personalized tier), the shed
-rate (deliberate 429/503), and the failed count.  **Failed must be zero
-at every level** — shedding is allowed, broken responses are not; a
-nonzero failed count fails the benchmark.  Results land in
-``BENCH_http.json``.
+rate (deliberate 429/503), the failed count, the breaker cooldown and
+every breaker transition in order.  **Failed must be zero at every
+level** — shedding is allowed, broken responses are not; a nonzero
+failed count fails the benchmark.  Results land in ``BENCH_http.json``
+with a provenance block (git sha, python/numpy/BLAS versions, cpu
+count, the command and its seed).
 
 Usage::
 
@@ -31,8 +38,9 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT), str(REPO_ROOT / "src")]
 
+from perfbench.provenance import provenance  # noqa: E402
 from repro import BPR, make_profile_dataset, train_test_split  # noqa: E402
 from repro.edge import (  # noqa: E402
     ChaosEvent,
@@ -45,8 +53,10 @@ from repro.edge import (  # noqa: E402
     run_load_sync,
 )
 from repro.mf.sgd import SGDConfig  # noqa: E402
+from repro.obs import MetricsRegistry  # noqa: E402
 from repro.resilience.chaos import ServiceFaultInjector  # noqa: E402
 from repro.serving import (  # noqa: E402
+    BreakerConfig,
     RecommendationService,
     ServiceConfig,
     ThreadedExecutor,
@@ -54,6 +64,8 @@ from repro.serving import (  # noqa: E402
 from repro.utils.atomicio import write_json_atomic  # noqa: E402
 
 CONCURRENCY_LEVELS = (4, 16, 48)
+#: Breaker cooldown as a share of a level's scheduled arrival span.
+COOLDOWN_SHARE = 0.1
 
 
 def chaos_schedule(schedule) -> list[ChaosEvent]:
@@ -72,22 +84,6 @@ def chaos_schedule(schedule) -> list[ChaosEvent]:
 
 
 def run_level(model, split, concurrency: int, args) -> dict:
-    chaos = ServiceFaultInjector()
-    service = RecommendationService.build(
-        model,
-        split.train,
-        config=ServiceConfig(default_deadline_ms=args.deadline_ms),
-        executor=ThreadedExecutor(max_workers=max(8, concurrency // 2)),
-        chaos=chaos,
-    )
-    server = EdgeServer(
-        service,
-        config=EdgeConfig(
-            max_inflight=max(64, concurrency * 2),
-            workers=max(8, concurrency // 2),
-            coalesce=CoalesceConfig(max_batch=16, max_wait_ms=1.0),
-        ),
-    )
     workload = WorkloadConfig(
         n_users=split.train.n_users,
         requests=args.requests,
@@ -98,8 +94,31 @@ def run_level(model, split, concurrency: int, args) -> dict:
         seed=args.seed + concurrency,  # distinct but reproducible per level
     )
     schedule = generate_schedule(workload)
+    cooldown_s = COOLDOWN_SHARE * schedule[-1].at_s
+    chaos = ServiceFaultInjector()
+    obs = MetricsRegistry()
+    service = RecommendationService.build(
+        model,
+        split.train,
+        config=ServiceConfig(
+            default_deadline_ms=args.deadline_ms,
+            breaker=BreakerConfig(cooldown_seconds=cooldown_s),
+        ),
+        executor=ThreadedExecutor(max_workers=max(8, concurrency // 2)),
+        chaos=chaos,
+        obs=obs,
+    )
+    server = EdgeServer(
+        service,
+        config=EdgeConfig(
+            max_inflight=max(64, concurrency * 2),
+            workers=max(8, concurrency // 2),
+            coalesce=CoalesceConfig(max_batch=16, max_wait_ms=1.0),
+        ),
+    )
     try:
         with EdgeServerThread(server) as (host, port):
+            start = obs.clock.monotonic()
             report = run_load_sync(
                 host,
                 port,
@@ -114,6 +133,12 @@ def run_level(model, split, concurrency: int, args) -> dict:
         service.close()
     summary = report.to_json_dict()
     summary["coalesced_batches"] = server._batcher.batches_dispatched_
+    summary["breaker_cooldown_s"] = round(cooldown_s, 4)
+    summary["breaker_transitions"] = [
+        {"at_s": round(event["ts"] - start, 4), "breaker": event["tier"], "to": event["to"]}
+        for event in obs.events()
+        if event["event"] == "breaker_transition"
+    ]
     return summary
 
 
@@ -155,7 +180,8 @@ def main(argv: list[str] | None = None) -> int:
             f"throughput={level['throughput_rps']:.0f} req/s "
             f"fallback={level['fallback_rate']:.1%} "
             f"shed={level['shed_rate']:.1%} failed={level['failed']} "
-            f"batches={level['coalesced_batches']}"
+            f"batches={level['coalesced_batches']} "
+            f"breaker_transitions={len(level['breaker_transitions'])}"
         )
         if level["failed"]:
             print(f"FAIL: {level['failed']} failed requests at concurrency {concurrency}")
@@ -176,9 +202,15 @@ def main(argv: list[str] | None = None) -> int:
             "zipf_s": args.zipf_s,
             "deadline_ms": args.deadline_ms,
             "chaos": "personalized tier down for the middle third of each level",
+            "breaker_cooldown": f"{COOLDOWN_SHARE:g} of each level's scheduled arrival span",
             "seed": args.seed,
         },
         "levels": levels,
+        "smoke": bool(args.smoke),
+        "provenance": provenance(
+            REPO_ROOT, [str(Path(__file__).relative_to(REPO_ROOT)), *sys.argv[1:]],
+            {"seed": args.seed},
+        ),
     }
     write_json_atomic(args.out, payload)
     print(f"wrote {args.out}")

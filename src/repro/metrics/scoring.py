@@ -363,11 +363,8 @@ def candidate_ranks(
     return CandidateRanks(ranks=ranks, below=low - row_excluded, tied=right - low)
 
 
-def ranking_orders(keys: np.ndarray, *, descending: bool = True) -> np.ndarray:
-    """Row-wise stable ranking: ``orders[r]`` sorts ``keys[r]``.
-
-    Descending by default, ties broken by index — the ordering contract
-    shared by the evaluator and the AoBPR/ABS/DSS factor-ranking caches.
+def _sorted_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise stable ascending argsort and the rows that hold ties or NaN.
 
     The default (SIMD) argsort is not stable, but a row whose sorted
     keys are pairwise distinct and NaN-free has exactly one sorting
@@ -375,13 +372,36 @@ def ranking_orders(keys: np.ndarray, *, descending: bool = True) -> np.ndarray:
     equal keys (``-0.0 == 0.0`` included) or NaN are re-sorted with
     ``kind="stable"``; the output is bitwise that of a stable argsort.
     """
-    keys = np.asarray(keys)
-    if descending:
-        keys = -keys
     orders = np.argsort(keys, axis=1)
     ranked = np.take_along_axis(keys, orders, axis=1)
     redo = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | np.isnan(ranked).any(axis=1)
     rows = np.flatnonzero(redo)
     if len(rows):
         orders[rows] = np.argsort(keys[rows], axis=1, kind="stable")
-    return orders
+    return orders, rows
+
+
+def ranking_orders(keys: np.ndarray, *, descending: bool = True) -> np.ndarray:
+    """Row-wise stable ranking: ``orders[r]`` sorts ``keys[r]``.
+
+    Descending by default, ties broken by index — the ordering contract
+    of the AoBPR/ABS/DSS factor-ranking caches, which take both
+    directions at once from :func:`ranking_orders_both_ways`.
+    """
+    keys = np.asarray(keys)
+    return _sorted_rows(-keys if descending else keys)[0]
+
+
+def ranking_orders_both_ways(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ranking_orders(keys, descending=False), ranking_orders(keys))`` from one sort.
+
+    A row with distinct, NaN-free keys has one descending order: its
+    ascending order reversed.  Ties and NaN keep index order in both
+    directions, so only the rows holding them are sorted a second time.
+    """
+    keys = np.asarray(keys)
+    ascending, tied = _sorted_rows(keys)
+    descending = ascending[:, ::-1].copy()
+    if len(tied):
+        descending[tied] = np.argsort(-keys[tied], axis=1, kind="stable")
+    return ascending, descending

@@ -31,3 +31,22 @@ def log_sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def scatter_add_rows(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """In place ``matrix[rows[t]] += updates[t]`` for every ``t``, in order.
+
+    The unbuffered scatter of ``np.add.at(matrix, rows, updates)``: a row
+    that repeats accumulates each of its updates in turn, the sequential
+    per-element order of LearnBPR.  A C-contiguous 2-D ``matrix`` is
+    updated through its flat view with element indices ``row * d + col``,
+    which applies the same additions in the same order as the 2-D call
+    at a third of its cost; a 1-D or non-contiguous ``matrix`` takes the
+    plain call.
+    """
+    if matrix.ndim == 1 or not matrix.flags.c_contiguous:
+        np.add.at(matrix, rows, updates)
+        return
+    d = matrix.shape[1]
+    index = np.asarray(rows, dtype=np.intp)[:, None] * d + np.arange(d)
+    np.add.at(matrix.reshape(-1), index.ravel(), updates.ravel())

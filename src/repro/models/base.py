@@ -29,7 +29,7 @@ import numpy as np
 from repro.data.interactions import InteractionMatrix
 from repro.metrics import scoring
 from repro.metrics.evaluator import ndcg_from_hits
-from repro.mf.functional import log_sigmoid, sigmoid
+from repro.mf.functional import log_sigmoid, scatter_add_rows, sigmoid
 from repro.mf.params import FactorParams
 from repro.mf.sgd import EarlyStoppingConfig, RegularizationConfig, SGDConfig
 from repro.obs.registry import MetricsRegistry, as_registry
@@ -604,7 +604,7 @@ class TupleSGDRecommender(FactorRecommender):
             user_update = guard.clip_rows(user_update)
             item_update = guard.clip_rows(item_update)
             bias_update = guard.clip_rows(bias_update)
-        np.add.at(params.user_factors, users, user_update)
-        np.add.at(params.item_factors, flat_items, item_update)
-        np.add.at(params.item_bias, flat_items, bias_update)
+        scatter_add_rows(params.user_factors, users, user_update)
+        scatter_add_rows(params.item_factors, flat_items, item_update)
+        scatter_add_rows(params.item_bias, flat_items, bias_update)
         return float(np.mean(-log_sigmoid(margin)))

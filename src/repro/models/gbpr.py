@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.interactions import InteractionMatrix
-from repro.mf.functional import log_sigmoid, sigmoid
+from repro.mf.functional import log_sigmoid, scatter_add_rows, sigmoid
 from repro.models.base import TupleSGDRecommender
 from repro.sampling.base import TupleBatch
 from repro.utils.exceptions import ConfigError
@@ -129,15 +129,15 @@ class GBPR(TupleSGDRecommender):
             item_i_update = guard.clip_rows(item_i_update)
             item_j_update = guard.clip_rows(item_j_update)
             bias_i_update = guard.clip_rows(bias_i_update)
-        np.add.at(params.user_factors, users, user_update)
-        np.add.at(params.user_factors, groups.ravel(), group_update)
-        np.add.at(params.item_factors, pos_i, item_i_update)
-        np.add.at(params.item_factors, neg_j, item_j_update)
-        np.add.at(params.item_bias, pos_i, bias_i_update)
+        scatter_add_rows(params.user_factors, users, user_update)
+        scatter_add_rows(params.user_factors, groups.ravel(), group_update)
+        scatter_add_rows(params.item_factors, pos_i, item_i_update)
+        scatter_add_rows(params.item_factors, neg_j, item_j_update)
+        scatter_add_rows(params.item_bias, pos_i, bias_i_update)
         # The negative-bias regularizer reads the *post-positive-update*
         # bias, matching the update order of the original GBPR loop.
         bias_j_update = lr * (-residual - reg.beta_v * params.item_bias[neg_j])
         if guard is not None:
             bias_j_update = guard.clip_rows(bias_j_update)
-        np.add.at(params.item_bias, neg_j, bias_j_update)
+        scatter_add_rows(params.item_bias, neg_j, bias_j_update)
         return float(np.mean(-log_sigmoid(margin)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sampling.base import _MAX_REJECTION_ROUNDS, Sampler, TupleBatch
-from repro.sampling.geometric import FactorRankingCache, truncated_geometric
+from repro.sampling.geometric import FactorRankingCache, TruncatedGeometric
 from repro.utils.validation import check_in_range
 
 
@@ -36,9 +36,11 @@ class AdaptiveOversampler(Sampler):
         self.tail = tail
         self.refresh_interval = refresh_interval
         self._cache: FactorRankingCache | None = None
+        self._ranks: TruncatedGeometric | None = None
 
     def _on_bind(self) -> None:
         self._cache = FactorRankingCache(self.params, self.refresh_interval)
+        self._ranks = TruncatedGeometric(self.train.n_items, self.tail)
 
     def _ranking_caches(self) -> dict:
         return {"ranking": self._cache}
@@ -61,17 +63,16 @@ class AdaptiveOversampler(Sampler):
     ) -> np.ndarray:
         """The AoBPR negative draw, reused verbatim by DSS."""
         self._cache.maybe_refresh()
-        n_items = self.train.n_items
         factors = self._factor_choice(users, rng)
         reverse = self.params.user_factors[users, factors] < 0
-        ranks = truncated_geometric(rng, len(users), n_items, self.tail)
+        ranks = self._ranks.draw(rng, len(users))
         neg_j = self._cache.items_at(factors, ranks, reverse)
         for _ in range(_MAX_REJECTION_ROUNDS):
             observed = self.contains_pairs(users, neg_j)
             if not observed.any():
                 return neg_j
             redo = int(observed.sum())
-            ranks = truncated_geometric(rng, redo, n_items, self.tail)
+            ranks = self._ranks.draw(rng, redo)
             neg_j[observed] = self._cache.items_at(factors[observed], ranks, reverse[observed])
             # After a few failed geometric draws the remaining tuples fall
             # back to uniform rejection, which always terminates.

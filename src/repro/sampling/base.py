@@ -66,6 +66,8 @@ class Sampler(ABC):
         self._train: InteractionMatrix | None = None
         self._params: FactorParams | None = None
         self._encoded_pairs: np.ndarray | None = None
+        self._pair_users: np.ndarray | None = None
+        self._user_counts: np.ndarray | None = None
         self._step = 0
         self.obs = NULL_REGISTRY
 
@@ -78,8 +80,10 @@ class Sampler(ABC):
             raise DataError("training matrix has no unobserved items to sample")
         self._train = train
         self._params = params
-        users = np.repeat(np.arange(train.n_users, dtype=np.int64), train.user_counts())
-        self._encoded_pairs = np.sort(users * train.n_items + train.indices)
+        self._user_counts = train.user_counts()
+        # The user owning each stored pair, in the CSR order of ``indices``.
+        self._pair_users = np.repeat(np.arange(train.n_users, dtype=np.int64), self._user_counts)
+        self._encoded_pairs = np.sort(self._pair_users * train.n_items + train.indices)
         self._step = 0
         self._on_bind()
         return self
@@ -111,15 +115,14 @@ class Sampler(ABC):
         """Uniform ``(u, i)`` over observed pairs (BPR's anchor draw)."""
         train = self.train
         idx = rng.integers(0, train.n_interactions, size=batch_size)
-        users = np.searchsorted(train.indptr, idx, side="right") - 1
-        return users.astype(np.int64), train.indices[idx]
+        return self._pair_users[idx], train.indices[idx]
 
     def sample_second_positive_uniform(
         self, users: np.ndarray, pos_i: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Uniform second positive ``k != i`` where the user allows it."""
         train = self.train
-        counts = train.user_counts()[users]
+        counts = self._user_counts[users]
         offsets = rng.integers(0, counts)
         pos_k = train.indices[train.indptr[users] + offsets]
         self.obs.counter("sampler_draws_total", kind="second_positive").inc(len(users))

@@ -7,23 +7,61 @@ follow long-tail distributions, the geometric sampler is adopted",
 Section 5.1).  Sorting every step would dominate the cost, so — per the
 paper — the ranking lists are rebuilt only every ``log(m)``-ish steps.
 
-A rebuild costs two row-wise sorts of the ``(d, m)`` factor matrix
-(:func:`~repro.metrics.scoring.ranking_orders`, a SIMD argsort with a
-stable re-sort of only the rows that hold ties or NaN) plus, for DSS's
-per-user positive lists, one integer sort of ``(d, nnz)`` keys.  On the
-ML1M profile at scale 5 (3,500 items, about 22k training pairs, d=20)
-that is a few milliseconds per refresh, where the per-factor
-``np.lexsort`` it replaced took about 80 ms.
+A rebuild costs one row-wise sort of the ``(d, m)`` factor matrix
+(:func:`~repro.metrics.scoring.ranking_orders_both_ways`, a SIMD argsort
+whose descending lists are the ascending ones reversed, with a stable
+re-sort of only the rows that hold ties or NaN) plus, for DSS's per-user
+positive lists, one integer sort of ``(d, nnz)`` keys.  DSS's two caches
+share that one factor sort through :class:`FactorOrders`.  On the ML1M
+profile at scale 5 (3,500 items, about 22k training pairs, d=20) a DSS
+refresh of both caches takes about 5.5 ms on one core of a 2-vCPU host:
+12 ms when each cache sorted the factors itself and decoded all its keys,
+and about 80 ms with the per-factor ``np.lexsort`` before that.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.scoring import ranking_orders
+from repro.metrics.scoring import ranking_orders_both_ways
 from repro.mf.params import FactorParams
 from repro.utils.exceptions import CheckpointError, ConfigError
 from repro.utils.validation import check_in_range
+
+
+class TruncatedGeometric:
+    """Rank draws from truncated geometric laws over lists of fixed lengths.
+
+    ``P(r) ∝ (1 - p)^r`` on ``[0, n)`` with success probability
+    ``p = 1 / (tail * n)``, so ``tail`` is (approximately) the expected
+    rank as a fraction of the list length.  ``lengths`` is one list
+    length or an array of them; the per-length constants ``log(1 - p)``
+    and the truncated mass ``1 - (1 - p)^n`` are computed once here, so
+    a draw costs one uniform per sample and the exact inverse CDF — no
+    rejection or wrap-around bias.
+    """
+
+    def __init__(self, lengths: int | np.ndarray, tail: float):
+        check_in_range(tail, "tail", 0.0, 1.0, inclusive=False)
+        n = np.asarray(lengths, dtype=np.int64)
+        if np.any(n < 1):
+            raise ConfigError("all list lengths must be >= 1")
+        p = np.minimum(1.0 / (tail * np.maximum(n, 2)), 0.999999)
+        q = 1.0 - p
+        self._log_q = np.log(q)
+        self._mass = 1.0 - q ** n.astype(np.float64)
+        self._last = n - 1
+
+    def draw(
+        self, rng: np.random.Generator, size: int, lists: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``size`` ranks; ``lists[t]`` picks sample ``t``'s length from an array of them."""
+        u = rng.random(size)
+        log_q, mass, last = self._log_q, self._mass, self._last
+        if lists is not None:
+            log_q, mass, last = log_q[lists], mass[lists], last[lists]
+        ranks = np.floor(np.log1p(-u * mass) / log_q).astype(np.int64)
+        return np.clip(ranks, 0, last)
 
 
 def truncated_geometric(
@@ -34,23 +72,33 @@ def truncated_geometric(
 ) -> np.ndarray:
     """Sample ranks in ``[0, n)`` from a truncated geometric distribution.
 
-    ``P(r) ∝ (1 - p)^r`` with success probability ``p = 1 / (tail * n)``,
-    so ``tail`` is (approximately) the expected rank as a fraction of the
-    list length.  ``n`` may be a scalar or a per-sample array of list
-    lengths.  Sampling uses the exact inverse CDF of the truncated law,
-    so no rejection or wrap-around bias.
+    ``n`` may be a scalar or a per-sample array of list lengths; see
+    :class:`TruncatedGeometric`, which keeps the constants of repeated
+    draws over the same lengths.
     """
-    check_in_range(tail, "tail", 0.0, 1.0, inclusive=False)
-    n = np.asarray(n, dtype=np.int64)
-    if np.any(n < 1):
-        raise ConfigError("all list lengths must be >= 1")
-    p = np.minimum(1.0 / (tail * np.maximum(n, 2)), 0.999999)
-    q = 1.0 - p
-    log_q = np.log(q)
-    u = rng.random(size)
-    total_mass = 1.0 - q ** n.astype(np.float64)
-    ranks = np.floor(np.log1p(-u * total_mass) / log_q).astype(np.int64)
-    return np.clip(ranks, 0, n - 1)
+    return TruncatedGeometric(n, tail).draw(rng, size)
+
+
+class FactorOrders:
+    """Per-factor item orders, both ways, of the last factor matrix ranked.
+
+    :meth:`of` returns the ``(d, m)`` ``(ascending, descending)`` orders
+    of an ``(m, d)`` item-factor matrix.  DSS's two caches rebuild on the
+    same step from equal copies of the item factors, so when they share
+    one instance the second rebuild reuses the first one's sort.  Equal
+    factors have equal orders: the ranking reads the keys only through
+    comparisons.
+    """
+
+    def __init__(self):
+        self._ranked: np.ndarray | None = None
+        self._orders: tuple[np.ndarray, np.ndarray] | None = None
+
+    def of(self, item_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self._orders is None or not np.array_equal(self._ranked, item_factors):
+            self._orders = ranking_orders_both_ways(item_factors.T)
+            self._ranked = item_factors
+        return self._orders
 
 
 class _RankingCache:
@@ -63,19 +111,25 @@ class _RankingCache:
     uninterrupted one.
     """
 
-    def __init__(self, params: FactorParams, refresh_interval: int | None = None):
+    def __init__(
+        self,
+        params: FactorParams,
+        refresh_interval: int | None = None,
+        orders: FactorOrders | None = None,
+    ):
         if refresh_interval is not None and refresh_interval < 1:
             raise ConfigError(f"refresh_interval must be >= 1, got {refresh_interval}")
         self._params = params
+        self._factor_orders = orders if orders is not None else FactorOrders()
         if refresh_interval is None:
             refresh_interval = max(int(np.ceil(np.log(max(params.n_items, 2)))), 1)
         self.refresh_interval = refresh_interval
         self.rebuilds_ = 0
-        self._orders: np.ndarray | None = None
+        self._orders = None
         self._snapshot: np.ndarray | None = None
         self._calls_since_refresh = 0
 
-    def _build(self, item_factors: np.ndarray) -> np.ndarray:
+    def _build(self, item_factors: np.ndarray):
         """The cached orders for the ``(m, d)`` factor matrix given."""
         raise NotImplementedError
 
@@ -84,7 +138,7 @@ class _RankingCache:
         self._orders = self._build(self._snapshot)
         self.rebuilds_ += 1
 
-    def _current_orders(self) -> np.ndarray:
+    def _current_orders(self):
         if self._orders is None:
             self._rebuild()
         return self._orders
@@ -133,10 +187,9 @@ class FactorRankingCache(_RankingCache):
         return self._params.n_factors
 
     def _build(self, item_factors: np.ndarray) -> np.ndarray:
-        # (d, m): row q holds item ids sorted by V[:, q] descending,
-        # via the engine's row-wise ranking kernel (ties broken by item
-        # id, the same contract the evaluator uses).
-        return ranking_orders(item_factors.T)
+        # (d, m): row q holds item ids sorted by V[:, q] descending, ties
+        # broken by item id (the same contract the evaluator uses).
+        return self._factor_orders.of(item_factors)[1]
 
     def order(self, factor: int, *, descending: bool = True) -> np.ndarray:
         """Item ids ranked by the given factor (view; do not mutate)."""
@@ -172,22 +225,29 @@ class UserPositiveRankingCache(_RankingCache):
     are kept in ascending ``V[:, q]`` order (ties by item id) in a flat
     array aligned with the training matrix's ``indptr``, so looking up
     "the item at position ``t`` of user ``u``'s factor-``q`` ranking" is
-    one fancy index — no per-tuple sorting.  Rebuilt on the same
+    a few fancy indexes — no per-tuple sorting.  Rebuilt on the same
     ``log(m)`` schedule as :class:`FactorRankingCache`.
 
     A rebuild is one vectorized pass over all factors: each item's
-    ascending stable rank under every factor comes from one ``(d, m)``
-    ranking, every training pair gets the key ``user * m + rank``, and a
-    plain row-wise ``np.sort`` of the ``(d, nnz)`` keys groups the pairs
-    by user and orders each group by rank.  The keys are distinct within
-    a row, so the unstable sort is exact, and ``key - user * m`` (``key %
-    m``) decodes the rank back to an item.  Keys are int32 while
-    ``max(n_users, d) * n_items < 2**31``, which halves the sort's memory
-    traffic.
+    ascending stable rank under every factor comes from the ``(d, m)``
+    ascending orders, every training pair gets the key ``user * m +
+    rank``, and a plain row-wise ``np.sort`` of the ``(d, nnz)`` keys
+    groups the pairs by user and orders each group by rank.  The keys are
+    distinct within a row, so the unstable sort is exact.  The cache
+    keeps the sorted keys and decodes only the positions drawn: ``key -
+    user * m`` is the rank, and the ascending orders map it to an item.
+    Keys are int32 while ``max(n_users, d) * n_items < 2**31``, which
+    halves the sort's memory traffic.
     """
 
-    def __init__(self, train, params: FactorParams, refresh_interval: int | None = None):
-        super().__init__(params, refresh_interval)
+    def __init__(
+        self,
+        train,
+        params: FactorParams,
+        refresh_interval: int | None = None,
+        orders: FactorOrders | None = None,
+    ):
+        super().__init__(params, refresh_interval, orders)
         self._train = train
         fits = max(train.n_users, params.n_factors) * train.n_items < 2**31
         self._key_dtype = np.int32 if fits else np.int64
@@ -195,23 +255,16 @@ class UserPositiveRankingCache(_RankingCache):
             np.arange(train.n_users, dtype=self._key_dtype) * train.n_items, train.user_counts()
         )
 
-    def _build(self, item_factors: np.ndarray) -> np.ndarray:
+    def _build(self, item_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         train = self._train
-        n_items = train.n_items
-        d = item_factors.shape[1]
         dtype = self._key_dtype
-        ascending = ranking_orders(item_factors.T, descending=False)
+        ascending = self._factor_orders.of(item_factors)[0]
         ranks = np.empty(ascending.shape, dtype=dtype)
-        np.put_along_axis(ranks, ascending, np.arange(n_items, dtype=dtype)[None, :], axis=1)
+        np.put_along_axis(ranks, ascending, np.arange(train.n_items, dtype=dtype)[None, :], axis=1)
         keys = ranks[:, train.indices]
         keys += self._user_keys
         keys.sort(axis=1)
-        # Each user's keys fill its own indptr segment of every row, so
-        # subtracting the user part leaves the rank; offsetting row q by
-        # q * m then indexes the flat ascending orders.
-        keys -= self._user_keys
-        keys += (np.arange(d, dtype=dtype) * n_items)[:, None]
-        return np.take(ascending.ravel(), keys)
+        return keys, ascending
 
     def positives_at(
         self,
@@ -220,6 +273,8 @@ class UserPositiveRankingCache(_RankingCache):
         positions: np.ndarray,
     ) -> np.ndarray:
         """Item at ``positions[t]`` (ascending factor order) of each user."""
-        orders = self._current_orders()
-        starts = self._train.indptr[users]
-        return orders[factors, starts + positions]
+        keys, ascending = self._current_orders()
+        # Each user's keys fill its own indptr segment of every row.
+        slots = self._train.indptr[users] + positions
+        ranks = keys[factors, slots] - self._user_keys[slots]
+        return ascending[factors, ranks]

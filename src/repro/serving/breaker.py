@@ -146,7 +146,8 @@ class CircuitBreaker:
 
         In half-open state this *admits a probe*: callers that receive
         ``True`` are expected to follow up with exactly one
-        :meth:`record_success` / :meth:`record_failure` call.
+        :meth:`record_success` / :meth:`record_failure` call, or with
+        :meth:`release` if they end up not calling the tier.
         """
         with self._lock:
             self._maybe_enter_half_open()
@@ -158,6 +159,19 @@ class CircuitBreaker:
                 return False
             self._probes_in_flight += 1
             return True
+
+    def release(self) -> None:
+        """Give back a probe slot that :meth:`allow` admitted but no call used.
+
+        A caller that gets ``True`` from :meth:`allow` and then does not
+        attempt the tier (another breaker refused the request) releases
+        the slot instead of recording an outcome; otherwise the unused
+        probe stays in flight and a half-open breaker runs out of probes
+        for good.  Outside half-open state this does nothing.
+        """
+        with self._lock:
+            if self._state == HALF_OPEN:
+                self._probes_in_flight = max(0, self._probes_in_flight - 1)
 
     def record_success(self, latency_ms: float = 0.0) -> None:
         """Record one successful tier call (slow successes may still trip)."""

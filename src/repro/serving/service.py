@@ -353,6 +353,8 @@ class RecommendationService:
             self.obs.counter("serving_skipped_open_total", tier=tier.name).inc()
             return "breaker open"
         if shard_breaker is not None and not shard_breaker.allow():
+            # The tier breaker may have admitted this request as a probe.
+            self.breakers[tier.name].release()
             self.stats[tier.name].skipped_open += 1
             self.obs.counter("serving_shard_skipped_open_total", tier=tier.name).inc()
             return f"{shard_breaker.name} open"

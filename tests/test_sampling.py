@@ -208,6 +208,16 @@ class TestUserPositiveRankingCache:
         ]
         return np.stack(rows)
 
+    @staticmethod
+    def _sweep(cache, train, n_factors):
+        """``positives_at`` at every position of every user, for every factor."""
+        users = np.repeat(np.arange(train.n_users), train.user_counts())
+        positions = np.arange(train.n_interactions) - train.indptr[users]
+        return np.stack([
+            cache.positives_at(users, np.full(len(users), q), positions)
+            for q in range(n_factors)
+        ])
+
     @pytest.mark.parametrize("seed", range(5))
     def test_orders_match_per_user_lexsort(self, seed):
         rng = np.random.default_rng(seed)
@@ -229,7 +239,9 @@ class TestUserPositiveRankingCache:
         item_factors[::5, 4] = np.nan  # NaN sorts last, ties by item id
         cache = UserPositiveRankingCache(train, params, refresh_interval=1)
         cache.maybe_refresh()
-        assert np.array_equal(cache._orders, self._lexsort_reference(train, item_factors))
+        assert np.array_equal(
+            self._sweep(cache, train, d), self._lexsort_reference(train, item_factors)
+        )
 
     def test_int64_keys_when_user_item_product_overflows_int32(self):
         n_users = n_items = 1 << 16  # n_users * n_items == 2**32
@@ -242,7 +254,9 @@ class TestUserPositiveRankingCache:
         cache = UserPositiveRankingCache(train, params, refresh_interval=1)
         cache.maybe_refresh()
         assert cache._user_keys.dtype == np.int64
-        assert np.array_equal(cache._orders, self._lexsort_reference(train, params.item_factors))
+        assert np.array_equal(
+            self._sweep(cache, train, 2), self._lexsort_reference(train, params.item_factors)
+        )
 
 
 class TestRankingCacheState:

@@ -164,6 +164,25 @@ class TestHalfOpenState:
         assert breaker.state == HALF_OPEN  # needs 3 successes
         assert breaker.allow()
 
+    def test_release_frees_an_unused_probe(self):
+        breaker = self.make_half_open(
+            FakeClock(), half_open_max_probes=1, half_open_successes=1
+        )
+        assert breaker.allow()
+        assert not breaker.allow()
+        breaker.release()
+        assert breaker.state == HALF_OPEN  # a release is not an outcome
+        assert breaker.allow()
+        breaker.record_success()
+        assert breaker.state == CLOSED
+
+    def test_release_outside_half_open_is_a_no_op(self):
+        breaker = make_breaker(FakeClock())
+        assert breaker.allow()
+        breaker.release()
+        assert breaker.state == CLOSED
+        assert breaker.snapshot()["window_calls"] == 0
+
     def test_enough_successes_close(self):
         breaker = self.make_half_open(FakeClock(), half_open_successes=2)
         for _ in range(2):

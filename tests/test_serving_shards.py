@@ -24,6 +24,7 @@ from repro.serving.service import RecommendationService, ServiceConfig
 from repro.serving.tiers import RecommendationRequest
 from repro.store import ShardedFactorStore, StoreBackedModel, write_factor_store
 from repro.store.shards import shard_file_name
+from repro.utils.clock import FakeClock
 
 N_USERS, N_ITEMS, D = 64, 40, 8
 SHARD_SIZE = 16  # -> 4 shards: users [0,16), [16,32), [32,48), [48,64)
@@ -143,6 +144,44 @@ class TestShardBreakers:
         service, *_ = world
         snapshot = service.snapshot()
         assert set(snapshot["shard_breakers"]) == {"0", "1", "2", "3"}
+
+    def test_half_open_tier_keeps_its_probe_when_a_shard_refuses(self, tmp_path):
+        """A probe the tier admits but an open shard refuses is given back."""
+        train, params = make_world()
+        write_factor_store(tmp_path, params, dtype="float64", shard_size=SHARD_SIZE)
+        clock = FakeClock()
+        service = RecommendationService.build(
+            StoreBackedModel(ShardedFactorStore.open(tmp_path), train, version="v1"),
+            train,
+            fit_knn=False,
+            version="v1",
+            clock=clock,
+            config=ServiceConfig(
+                default_deadline_ms=5000.0,
+                breaker=BreakerConfig(
+                    min_calls=1, cooldown_seconds=10.0,
+                    half_open_max_probes=1, half_open_successes=2,
+                ),
+            ),
+        )
+        try:
+            tier = service.breakers["personalized"]
+            tier.record_failure()
+            clock.advance(5.0)
+            service.shard_breakers[2].record_failure()
+            clock.advance(6.0)  # the tier is half-open, shard 2 still open
+            assert tier.state == "half-open"
+            assert service.shard_breakers[2].state == "open"
+            refused = service.recommend(RecommendationRequest(user=35, k=5))
+            assert "personalized-shard-2 open" in refused.tier_errors["personalized"]
+            # The one probe slot is free again: two healthy-shard probes
+            # are admitted, served, and close the tier.
+            for user in (3, 50):
+                response = service.recommend(RecommendationRequest(user=user, k=5))
+                assert response.served_by == "personalized"
+            assert tier.state == "closed"
+        finally:
+            service.close()
 
 
 class TestRetrievalProvenance:
