@@ -15,7 +15,8 @@ Three drills over the :mod:`repro.runtime` self-healing layer:
    directories, wipe them, time ``restore_snapshot``, and require the
    replayed factors to be bitwise-identical to the pre-disaster run.
 
-Results land in ``BENCH_recovery.json``.
+Results land in ``BENCH_recovery.json`` with a provenance block (git
+sha, python/numpy/BLAS versions, cpu count, the command and its seed).
 
 Usage::
 
@@ -30,26 +31,25 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
-import time
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT), str(REPO_ROOT / "src")]
 
 import numpy as np  # noqa: E402
 
+from perfbench.provenance import provenance  # noqa: E402
 from repro.data.interactions import InteractionMatrix  # noqa: E402
-from repro.edge import EdgeConfig  # noqa: E402
 from repro.mf.sgd import SGDConfig  # noqa: E402
 from repro.models import BPR  # noqa: E402
 from repro.resilience.chaos import ProcessFaultInjector, flip_bits  # noqa: E402
+from repro.drills import ingest  # noqa: E402
 from repro.runtime import (  # noqa: E402
     COMPONENTS,
-    ReplicaPair,
+    DataDir,
     RuntimeStack,
     Scrubber,
-    StackConfig,
     SupervisorConfig,
     create_snapshot,
     restore_snapshot,
@@ -62,9 +62,7 @@ from repro.serving import (  # noqa: E402
 )
 from repro.streaming import (  # noqa: E402
     IngestConfig,
-    StreamIngestor,
     WalConfig,
-    WriteAheadLog,
     append_all,
     synthesize_records,
 )
@@ -90,14 +88,9 @@ def fresh_model(matrix, args):
     return BPR(n_factors=4, sgd=SGDConfig(n_epochs=1), seed=args.seed).fit(matrix)
 
 
-def poll_until(stack, predicate, *, timeout=30.0, what="condition"):
-    deadline = time.monotonic() + timeout  # repro: allow(REP002) — live-stack wait
-    while time.monotonic() < deadline:  # repro: allow(REP002) — live-stack wait
-        stack.poll()
-        if predicate():
-            return
-        time.sleep(0.005)
-    raise RuntimeError(f"timed out waiting for {what}; status={stack.status()}")
+def require(stack, predicate, what):
+    if not stack.wait_until(predicate, 30.0, what):
+        raise RuntimeError(f"timed out waiting for {what}; status={stack.status()}")
 
 
 def bench_restart_latency(args) -> dict:
@@ -118,42 +111,36 @@ def bench_restart_latency(args) -> dict:
             matrix,
             None,
             Path(tmp) / "data",
-            edge_config=EdgeConfig(),
             ingest_config=IngestConfig(batch_records=args.batch_records),
             supervisor_config=SupervisorConfig(
                 backoff_base_s=args.backoff_base_s,
                 backoff_max_s=4 * args.backoff_base_s,
             ),
-            stack_config=StackConfig(),
             faults=faults,
         )
-        stack.start()
-        try:
+        with stack:
+            stack.start()
             records = synthesize_records(
                 args.records, n_users=args.users, n_items=args.items, seed=args.seed
             )
             append_all(stack.wal, records)
-            poll_until(stack, lambda: stack.batches_total() > 0, what="first batch")
+            require(stack, lambda: stack.batches_total() > 0, "first batch")
             for name in COMPONENTS:
                 component = stack.supervisor.component(name)
                 baseline = component.restarts
                 faults.kill(name)
                 with Timer() as timer:
-                    poll_until(
+                    require(
                         stack,
                         lambda c=component, b=baseline: (
                             c.restarts > b and c.state == RUNNING
                         ),
-                        what=f"{name} restart",
+                        f"{name} restart",
                     )
                 results[name] = {
                     "restart_s": round(timer.elapsed, 4),
                     "restarts": component.restarts,
                 }
-        finally:
-            stack.drain()
-            stack.close()
-        service.close()
     worst = max(results.values(), key=lambda row: row["restart_s"])
     return {
         "backoff_base_s": args.backoff_base_s,
@@ -162,40 +149,28 @@ def bench_restart_latency(args) -> dict:
     }
 
 
-def build_state_dirs(root: Path, args) -> tuple[Path, Path, int]:
-    """A WAL directory plus checkpoint blobs, as ingest would leave them."""
-    matrix = make_matrix(args)
-    model = fresh_model(matrix, args)
-    wal_dir = root / "wal"
-    state_dir = root / "state"
+def build_state_dirs(root: Path, args) -> tuple[DataDir, int]:
+    """WAL segments plus checkpoint blobs under ``root``, as ingest leaves them."""
+    layout = DataDir(root)
     records = synthesize_records(
         args.records, n_users=args.users, n_items=args.items, seed=args.seed
     )
-    with WriteAheadLog(wal_dir, WalConfig(segment_bytes=args.segment_bytes)) as wal:
-        append_all(wal, records)
-        ingestor = StreamIngestor(
-            wal, model, state_dir, config=IngestConfig(batch_records=args.batch_records)
-        )
-        ingestor.run()
-        checksum = ingestor.factors_checksum()
-    return wal_dir, state_dir, checksum
+    ingestor = ingest(
+        fresh_model(make_matrix(args), args), layout.wal_dir, layout.state_dir,
+        IngestConfig(batch_records=args.batch_records), resume=False, records=records,
+        wal_config=WalConfig(segment_bytes=args.segment_bytes),
+    )
+    return layout, ingestor.factors_checksum()
 
 
 def bench_scrub_repair(args) -> dict:
     """Corrupt a batch of replicated files; time the repairing pass."""
     with TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        wal_dir, state_dir, _ = build_state_dirs(root, args)
-        mirror = root / "mirror"
-        scrubber = Scrubber(
-            [
-                ReplicaPair.of("wal", wal_dir, mirror / "wal"),
-                ReplicaPair.of("state", state_dir, mirror / "state"),
-            ]
-        )
+        layout, _ = build_state_dirs(Path(tmp), args)
+        scrubber = Scrubber(layout.replica_pairs())
         with Timer() as baseline_timer:
             baseline = scrubber.scrub_once()
-        victims = sorted(state_dir.glob("*.npz")) + sorted(wal_dir.glob("*.wal"))
+        victims = sorted(layout.state_dir.glob("*.npz")) + sorted(layout.wal_dir.glob("*.wal"))
         victims = victims[: args.corrupt_files]
         for victim in victims:
             flip_bits(victim, [victim.stat().st_size // 2])
@@ -219,9 +194,8 @@ def bench_scrub_repair(args) -> dict:
 def bench_snapshot_restore(args) -> dict:
     """Snapshot -> wipe -> restore -> replay; require identical factors."""
     with TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        wal_dir, state_dir, reference_crc = build_state_dirs(root, args)
-        sources = {"wal": wal_dir, "state": state_dir}
+        layout, reference_crc = build_state_dirs(Path(tmp), args)
+        sources = layout.snapshot_sources()
         total_bytes = sum(
             path.stat().st_size
             for directory in sources.values()
@@ -229,26 +203,21 @@ def bench_snapshot_restore(args) -> dict:
             if path.is_file()
         )
         with Timer() as create_timer:
-            manifest = create_snapshot(root / "snapshots", sources, tag="bench")
-        shutil.rmtree(wal_dir)
-        shutil.rmtree(state_dir)
+            manifest = create_snapshot(layout.snapshots_dir, sources, tag="bench")
+        shutil.rmtree(layout.wal_dir)
+        shutil.rmtree(layout.state_dir)
         with Timer() as restore_timer:
             report = restore_snapshot(
-                root / "snapshots", manifest.snapshot_id, sources, wipe=True
+                layout.snapshots_dir, manifest.snapshot_id, sources, wipe=True
             )
         if not report.ok:
             raise RuntimeError(f"restore failed: {report.problems}")
         matrix = make_matrix(args)
         with Timer() as replay_timer:
-            with WriteAheadLog(wal_dir) as wal:
-                ingestor = StreamIngestor.resume(
-                    wal,
-                    fresh_model(matrix, args),
-                    state_dir,
-                    config=IngestConfig(batch_records=args.batch_records),
-                )
-                ingestor.run()
-                recovered_crc = ingestor.factors_checksum()
+            recovered_crc = ingest(
+                fresh_model(matrix, args), layout.wal_dir, layout.state_dir,
+                IngestConfig(batch_records=args.batch_records), resume=True,
+            ).factors_checksum()
         return {
             "files": len(manifest.files),
             "bytes": total_bytes,
@@ -309,6 +278,11 @@ def main(argv: list[str] | None = None) -> int:
         "restart_latency": restart,
         "scrub_repair": scrub,
         "snapshot_restore": disaster,
+        "smoke": bool(args.smoke),
+        "provenance": provenance(
+            REPO_ROOT, [str(Path(__file__).relative_to(REPO_ROOT)), *sys.argv[1:]],
+            {"seed": args.seed},
+        ),
     }
     write_json_atomic(args.out, payload)
     print(f"[saved to {args.out}]")

@@ -17,7 +17,8 @@ Three drills over the :mod:`repro.streaming` stack, all in-process:
    records and pushes a candidate through the canary-gated reload.
    Records request p99 during the swap window; **failed must be zero**.
 
-Results land in ``BENCH_streaming.json``.
+Results land in ``BENCH_streaming.json`` with a provenance block (git
+sha, python/numpy/BLAS versions, cpu count, the command and its seed).
 
 Usage::
 
@@ -37,9 +38,11 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT), str(REPO_ROOT / "src")]
 
+from perfbench.provenance import provenance  # noqa: E402
 from repro import BPR, make_profile_dataset, train_test_split  # noqa: E402
+from repro.drills import ingest  # noqa: E402
 from repro.edge import (  # noqa: E402
     EdgeConfig,
     EdgeServer,
@@ -49,7 +52,6 @@ from repro.edge import (  # noqa: E402
     run_load_sync,
 )
 from repro.mf.sgd import SGDConfig  # noqa: E402
-from repro.persistence import save_factors  # noqa: E402
 from repro.resilience.chaos import KillSwitch, SimulatedKill  # noqa: E402
 from repro.serving import (  # noqa: E402
     ModelReloader,
@@ -64,6 +66,7 @@ from repro.streaming import (  # noqa: E402
     WalConfig,
     WriteAheadLog,
     append_all,
+    publish_candidate,
     synthesize_records,
 )
 from repro.utils.atomicio import write_json_atomic  # noqa: E402
@@ -140,14 +143,10 @@ def bench_crash_recovery(split, args) -> dict:
 
     # Clean reference run.
     with TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        with WriteAheadLog(tmp / "wal", WalConfig(fsync="batch")) as wal:
-            append_all(wal, records)
-            reference = StreamIngestor(
-                wal, fresh_model(split, args), tmp / "state", config=config
-            )
-            reference.run()
-            reference_crc = reference.factors_checksum()
+        reference_crc = ingest(
+            fresh_model(split, args), Path(tmp) / "wal", Path(tmp) / "state", config,
+            resume=False, records=records, wal_config=WalConfig(fsync="batch"),
+        ).factors_checksum()
 
     # Crashed run: killed after the interactions write of batch
     # ``kill_batch`` — the offset (commit point) never lands, so resume
@@ -200,7 +199,6 @@ def bench_retrain_under_traffic(split, args) -> dict:
     )
     with TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        candidate_path = tmp / "candidate.npz"
         try:
             with WriteAheadLog(tmp / "wal", WalConfig(fsync="batch")) as wal:
                 ingestor = StreamIngestor(
@@ -210,23 +208,13 @@ def bench_retrain_under_traffic(split, args) -> dict:
                     config=IngestConfig(batch_records=args.batch_records),
                 )
                 reloader = ModelReloader(
-                    service.slot, candidate_path, split.train, split.validation
+                    service.slot, tmp / "candidate.npz", split.train, split.validation
                 )
 
                 def trainer() -> None:
                     append_all(wal, stream(split, args, seed_offset=1))
                     ingestor.run()
-                    # The candidate may have grown users; the reload
-                    # shape gate must see the grown matrix.
-                    reloader.train = ingestor.train
-                    save_factors(
-                        candidate_path,
-                        ingestor.model.params_,
-                        metadata={
-                            "version_tag": f"bench-{ingestor.batch_index_:05d}",
-                            "method": "BPR",
-                        },
-                    )
+                    publish_candidate(ingestor, reloader)
 
                 manager = AutoRetrainManager(trainer, reloader)
                 server = EdgeServer(
@@ -343,6 +331,11 @@ def main(argv: list[str] | None = None) -> int:
         "ingest": ingest,
         "crash_recovery": recovery,
         "retrain_under_traffic": retrain,
+        "smoke": bool(args.smoke),
+        "provenance": provenance(
+            REPO_ROOT, [str(Path(__file__).relative_to(REPO_ROOT)), *sys.argv[1:]],
+            {"seed": args.seed},
+        ),
     }
     write_json_atomic(args.out, payload)
     print(f"wrote {args.out}")

@@ -13,8 +13,8 @@ config always replays the same user sequence.  The pieces:
   day curve compressed into ``diurnal_period_s``), ``burst``
   (periodic ``burst_multiplier``× spikes), ``replay`` (a recorded
   trace);
-* **chaos** — a list of :class:`ChaosEvent` timestamps applied mid-run
-  through a shared-process
+* **chaos** — a list of :class:`ChaosEvent` schedule times applied
+  mid-run through a shared-process
   :class:`~repro.resilience.chaos.ServiceFaultInjector`, so the drill
   exercises the cascade's fallback path while traffic is in flight;
 * **the driver** — :func:`run_load` plays a schedule against a live
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -103,7 +104,7 @@ class ScheduledRequest:
 
 @dataclass(frozen=True)
 class ChaosEvent:
-    """One mid-run fault transition.
+    """One mid-run fault transition at schedule time ``at_s``.
 
     ``action`` is one of ``latency`` / ``exception`` / ``nan`` /
     ``clear``; ``tier`` names the cascade tier to poison (ignored for
@@ -332,8 +333,12 @@ async def run_load(
     connection) pull arrivals from a shared queue, sleeping until each
     arrival time is due; a client that falls behind sends immediately,
     so bursts overflow into queueing like real traffic.  When
-    ``chaos`` (a shared-process ``ServiceFaultInjector``) is given,
-    ``chaos_events`` fire from a side task at their scheduled times.
+    ``chaos`` (a shared-process ``ServiceFaultInjector``) is given, each
+    of ``chaos_events`` is applied just before the first arrival at or
+    after its ``at_s`` is sent: events run on the schedule clock, so a
+    fault window covers the same arrivals however far the server lags
+    behind the schedule.  An event timed after the last arrival never
+    fires.
     Every ``use_get_every``-th request uses the ``GET`` form of
     ``/v1/recommend`` to keep both entry points exercised.
 
@@ -353,14 +358,8 @@ async def run_load(
     queue: asyncio.Queue = asyncio.Queue()
     for index, request in enumerate(schedule):
         queue.put_nowait((index, request))
+    events = deque(sorted(chaos_events, key=lambda e: e.at_s) if chaos is not None else ())
     started = clock.monotonic()
-
-    async def chaos_task() -> None:
-        for event in sorted(chaos_events, key=lambda e: e.at_s):
-            delay = event.at_s - (clock.monotonic() - started)
-            if delay > 0:
-                await asyncio.sleep(delay)
-            event.apply(chaos)
 
     async def worker() -> None:
         client = AsyncHttpClient(host, port, timeout_s=timeout_s)
@@ -373,6 +372,8 @@ async def run_load(
                 delay = request.at_s - (clock.monotonic() - started)
                 if delay > 0:
                     await asyncio.sleep(delay)
+                while events and events[0].at_s <= request.at_s:
+                    events.popleft().apply(chaos)
                 report.record(
                     await _fire(
                         client, request, clock, use_get_every, index,
@@ -383,8 +384,6 @@ async def run_load(
             await client.close()
 
     tasks = [asyncio.create_task(worker()) for _ in range(concurrency)]
-    if chaos is not None and chaos_events:
-        tasks.append(asyncio.create_task(chaos_task()))
     await asyncio.gather(*tasks)
     report.duration_s = clock.monotonic() - started
     return report

@@ -11,7 +11,7 @@ from repro.runtime.snapshot import (
     restore_snapshot,
     verify_snapshot,
 )
-from repro.runtime.stack import COMPONENTS, RuntimeStack, StackConfig
+from repro.runtime.stack import COMPONENTS, DataDir, RuntimeStack, StackConfig
 from repro.runtime.supervisor import (
     BACKOFF,
     QUARANTINED,
@@ -27,6 +27,7 @@ __all__ = [
     "BACKOFF",
     "COMPONENTS",
     "ComponentContext",
+    "DataDir",
     "QUARANTINED",
     "RUNNING",
     "ReplicaPair",

@@ -26,6 +26,12 @@ serving layer into forced static-popularity mode
 broken pipeline feed traffic — the process stays up, ``/v1/ready``
 reports 503, ``/v1/health`` and ``/v1/recommend`` keep answering.
 
+The stack supervises itself: a monitor thread, started and stopped
+with the stack, is the only caller of :meth:`Supervisor.poll` — ``poll``
+decides restarts under its lock but spawns outside it, so a second
+poller could restart one component twice.  Callers block on
+:meth:`RuntimeStack.wait_until` instead.
+
 Shared mutable state (the live ingestor handle, the pinned address,
 drill counters) is guarded by ``self._lock``; component bodies run on
 supervisor threads and only touch the stack through that lock.
@@ -37,11 +43,11 @@ import asyncio
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from repro.data.interactions import InteractionMatrix
 from repro.edge.http import EdgeConfig, EdgeServer
 from repro.obs import MetricsRegistry, as_registry
-from repro.persistence import save_factors
 from repro.resilience.chaos import ProcessFaultInjector
 from repro.runtime.scrub import ReplicaPair, Scrubber, ScrubReport
 from repro.runtime.snapshot import (
@@ -58,7 +64,7 @@ from repro.serving.reload import ModelReloader
 from repro.serving.service import RecommendationService
 from repro.streaming.drift import DriftMonitor, DriftThresholds
 from repro.streaming.ingest import IngestConfig, StreamIngestor
-from repro.streaming.retrain import AutoRetrainManager, RetrainConfig
+from repro.streaming.retrain import AutoRetrainManager, RetrainConfig, publish_candidate
 from repro.streaming.wal import WalConfig, WriteAheadLog
 from repro.utils.atomicio import array_checksum
 from repro.utils.clock import Clock, as_clock
@@ -72,6 +78,11 @@ RELOAD = "reload"
 SCRUB = "scrub"
 
 COMPONENTS = (EDGE, INGEST, RETRAIN, RELOAD, SCRUB)
+
+#: Seconds between supervisor monitor steps: how late a restart may be.
+MONITOR_INTERVAL_S = 0.02
+#: Seconds between two checks of a ``wait_until`` predicate.
+_WAIT_STEP_S = 0.005
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,31 @@ class StackConfig:
             )
 
 
-class RuntimeStack:
+class DataDir:
+    """The on-disk layout under one root, shared by the live stack and the
+    offline ``snapshot`` / ``restore`` / ``scrub`` commands."""
+
+    def __init__(self, root: str | Path):
+        self.data_dir = Path(root)
+        self.wal_dir = self.data_dir / "wal"
+        self.state_dir = self.data_dir / "state"
+        self.mirror_dir = self.data_dir / "mirror"
+        self.snapshots_dir = self.data_dir / "snapshots"
+        self.candidate_path = self.data_dir / "candidate.npz"
+
+    def snapshot_sources(self) -> dict[str, Path]:
+        """The directories a snapshot must capture to rebuild serving state."""
+        return {"wal": self.wal_dir, "state": self.state_dir}
+
+    def replica_pairs(self) -> list[ReplicaPair]:
+        """Each durable directory paired with its scrub mirror."""
+        return [
+            ReplicaPair.of(name, path, self.mirror_dir / name)
+            for name, path in self.snapshot_sources().items()
+        ]
+
+
+class RuntimeStack(DataDir):
     """Everything behind one port, supervised.
 
     Parameters
@@ -120,13 +155,7 @@ class RuntimeStack:
         The matrices backing the reloader's shape checks and the canary
         NDCG gate.
     data_dir:
-        Root of all durable state::
-
-            data_dir/wal/        primary WAL segments
-            data_dir/state/      ingest (checkpoint, matrix, offset) triples
-            data_dir/mirror/     scrub replicas of both
-            data_dir/snapshots/  disaster-recovery bundles
-            data_dir/candidate.npz   the reloader's watch path
+        Root of all durable state, laid out as :class:`DataDir`.
     faults:
         Optional :class:`~repro.resilience.chaos.ProcessFaultInjector`;
         the disaster drill arms kills against component names through it.
@@ -151,22 +180,17 @@ class RuntimeStack:
         clock: Clock | None = None,
         faults: ProcessFaultInjector | None = None,
     ):
+        super().__init__(data_dir)
         self.service = service
         self.model = model
         self.train = train
         self.validation = validation
-        self.data_dir = Path(data_dir)
         self.edge_config = edge_config or EdgeConfig()
         self.ingest_config = ingest_config or IngestConfig()
         self.stack_config = stack_config or StackConfig()
         self.obs = as_registry(obs)
         self.clock = as_clock(clock)
 
-        self.wal_dir = self.data_dir / "wal"
-        self.state_dir = self.data_dir / "state"
-        self.mirror_dir = self.data_dir / "mirror"
-        self.snapshots_dir = self.data_dir / "snapshots"
-        self.candidate_path = self.data_dir / "candidate.npz"
         self.state_dir.mkdir(parents=True, exist_ok=True)
 
         self.wal = WriteAheadLog(self.wal_dir, wal_config, obs=self.obs)
@@ -182,10 +206,7 @@ class RuntimeStack:
             clock=self.clock, obs=self.obs,
         )
         self.scrubber = Scrubber(
-            [
-                ReplicaPair.of("wal", self.wal_dir, self.mirror_dir / "wal"),
-                ReplicaPair.of("state", self.state_dir, self.mirror_dir / "state"),
-            ],
+            self.replica_pairs(),
             obs=self.obs,
             active_paths=lambda: {self.wal.active_segment_path()},
         )
@@ -211,6 +232,8 @@ class RuntimeStack:
         # one of them.
         self._reload_lock = threading.Lock()
         self._edge_bound = threading.Event()
+        self._monitor_stop = threading.Event()
+        self._monitor: threading.Thread | None = None
         self._host: str | None = None
         self._port: int = self.edge_config.port
         self._ingestor: StreamIngestor | None = None
@@ -344,22 +367,12 @@ class RuntimeStack:
     # -- pipeline glue -------------------------------------------------------
 
     def _trainer(self) -> None:
-        """The retrain manager's trainer: publish the ingest factors.
-
-        The candidate is the ingest model's current factors over the
-        *grown* matrix; the reloader's shape check must validate against
-        that same matrix, so it is retargeted first.
-        """
+        """The retrain manager's trainer: publish the ingest factors."""
         with self._lock:
             ingestor = self._ingestor
         if ingestor is None:
             raise ConfigError("retrain triggered before the ingest component started")
-        self.reloader.train = ingestor.train
-        save_factors(
-            self.candidate_path,
-            ingestor.model.params_,
-            metadata={"version_tag": f"stream-{ingestor.batch_index_:05d}"},
-        )
+        publish_candidate(ingestor, self.reloader)
 
     def _on_quarantine(self, name: str) -> None:
         """Crash-looped pipeline component => distrust the model path."""
@@ -367,9 +380,18 @@ class RuntimeStack:
 
     # -- lifecycle -----------------------------------------------------------
 
+    def _monitor_loop(self) -> None:
+        while not self._monitor_stop.wait(MONITOR_INTERVAL_S):
+            self.supervisor.poll()
+
     def start(self) -> tuple[str, int]:
-        """Start every component; blocks until the edge is bound."""
+        """Start every component and the monitor loop; blocks until the
+        edge is bound."""
         self.supervisor.start()
+        self._monitor = threading.Thread(
+            target=self._monitor_loop, name="stack-monitor", daemon=True
+        )
+        self._monitor.start()
         if not self._edge_bound.wait(timeout=self.stack_config.start_timeout_s):
             raise ConfigError(
                 f"edge failed to bind within {self.stack_config.start_timeout_s}s"
@@ -382,15 +404,23 @@ class RuntimeStack:
                 raise ConfigError("stack is not started")
             return self._host, self._port
 
-    def poll(self) -> dict[str, str]:
-        """One supervisor monitor step (restart backoffs, flag stalls)."""
-        return self.supervisor.poll()
-
-    def ready(self) -> tuple[bool, dict]:
-        return self.supervisor.ready()
+    def wait_until(self, predicate: Callable[[], bool], timeout_s: float, what: str) -> bool:
+        """Block until ``predicate()`` holds (True) or ``timeout_s`` passes
+        (False, recorded as a ``stack_wait_timeout`` event naming ``what``)."""
+        deadline = self.clock.monotonic() + timeout_s
+        while not predicate():
+            if self.clock.monotonic() >= deadline:
+                self.obs.event("stack_wait_timeout", what=what, timeout_s=timeout_s)
+                return False
+            self.clock.sleep(_WAIT_STEP_S)
+        return True
 
     def drain(self) -> dict:
-        """Ordered shutdown: components in reverse start order, then I/O."""
+        """Ordered shutdown: the monitor loop, then components in reverse
+        start order, then I/O."""
+        self._monitor_stop.set()
+        if self._monitor is not None:
+            self._monitor.join(timeout=self.supervisor.config.drain_timeout_s)
         report = self.supervisor.drain()
         self.wal.close()
         return report
@@ -465,10 +495,6 @@ class RuntimeStack:
         }
 
     # -- disaster recovery -------------------------------------------------------
-
-    def snapshot_sources(self) -> dict[str, Path]:
-        """The directories a snapshot must capture to rebuild serving state."""
-        return {"wal": self.wal_dir, "state": self.state_dir}
 
     def snapshot(self, *, tag: str = "snap") -> SnapshotManifest:
         """Bundle the durable state.  Quiesce first (drain) — the copy is

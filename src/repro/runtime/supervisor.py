@@ -266,9 +266,9 @@ class Supervisor:
         """One monitor step: restart expired backoffs, flag stalls.
 
         Returns the post-step state map (name -> state).  Call this in
-        a loop from the hosting process; each call is cheap and
-        side-effect-free unless a decision is due, so the cadence only
-        bounds restart latency, not correctness.
+        a loop from one thread of the hosting process (``RuntimeStack``
+        runs its own); each call is cheap and side-effect-free unless a
+        decision is due, so the cadence only bounds restart latency.
         """
         now = self.clock.monotonic()
         to_restart: list[str] = []

@@ -37,6 +37,7 @@ from repro.streaming.retrain import (
     AutoRetrainManager,
     RetrainConfig,
     RetrainReport,
+    publish_candidate,
 )
 from repro.streaming.wal import (
     AppendResult,
@@ -70,5 +71,6 @@ __all__ = [
     "append_all",
     "decode_frames",
     "encode_frame",
+    "publish_candidate",
     "synthesize_records",
 ]

@@ -20,10 +20,12 @@ import pytest
 
 from repro.data.interactions import InteractionMatrix
 from repro.edge import (
+    ChaosEvent,
     CoalesceConfig,
     EdgeConfig,
     EdgeServer,
     EdgeServerThread,
+    ScheduledRequest,
     WorkloadConfig,
     generate_schedule,
     run_load_sync,
@@ -31,7 +33,9 @@ from repro.edge import (
 from repro.edge.schema import HealthResponseV1, RecommendResponseV1
 from repro.mf.sgd import SGDConfig
 from repro.models import BPR
+from repro.resilience.chaos import ServiceFaultInjector
 from repro.serving import (
+    BreakerConfig,
     RecommendationService,
     ServiceConfig,
     ThreadedExecutor,
@@ -376,6 +380,50 @@ class TestLoadgenAgainstLiveServer:
         assert report.failed == 0
         assert report.ok + report.shed == 30
         assert report.to_json_dict()["p99_ms"] > 0.0
+
+    def test_chaos_events_fire_on_the_schedule_clock(self, stack):
+        """A slowed edge still degrades exactly the arrivals between the events.
+
+        The schedule packs 60 arrivals into 6 ms while every single
+        request waits 4 ms in the coalescer, so the run lasts far longer
+        than its schedule.  With one client, the fault must cover
+        arrivals 20-39 and nothing else; the breaker never opens, so a
+        degraded response can only come from the injected fault.
+        """
+        matrix, model, _ = stack
+        chaos = ServiceFaultInjector()
+        service = RecommendationService.build(
+            model,
+            matrix,
+            config=ServiceConfig(
+                default_deadline_ms=1000.0, breaker=BreakerConfig(min_calls=10_000)
+            ),
+            executor=ThreadedExecutor(max_workers=2),
+            chaos=chaos,
+        )
+        warm_users = [0, 1, 2]
+        schedule = [
+            ScheduledRequest(at_s=i * 1e-4, user=warm_users[i % 3], k=3) for i in range(60)
+        ]
+        events = [
+            ChaosEvent(at_s=schedule[20].at_s, action="exception"),
+            ChaosEvent(at_s=schedule[40].at_s, action="clear"),
+        ]
+        server = EdgeServer(
+            service,
+            config=EdgeConfig(workers=1, coalesce=CoalesceConfig(max_batch=8, max_wait_ms=4.0)),
+        )
+        try:
+            with EdgeServerThread(server) as (host, port):
+                report = run_load_sync(
+                    host, port, schedule, concurrency=1, chaos=chaos, chaos_events=events
+                )
+        finally:
+            service.close()
+        assert report.failed == 0
+        assert report.duration_s > 10 * schedule[-1].at_s
+        degraded = [outcome.degraded for outcome in report.outcomes]
+        assert degraded == [20 <= i < 40 for i in range(60)]
 
 
 class TestReadiness:
