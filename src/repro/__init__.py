@@ -58,7 +58,6 @@ from repro.sampling import (
 )
 from repro.serving import (
     RecommendationRequest,
-    RecommendationResponse,
     RecommendationService,
     ServedResponse,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "make_sampler",
     "sampler_names",
     "RecommendationRequest",
-    "RecommendationResponse",
     "RecommendationService",
     "ServedResponse",
     "__version__",

@@ -502,7 +502,6 @@ def _edge_config_from_args(args):
         coalesce=CoalesceConfig(
             max_batch=args.coalesce_batch, max_wait_ms=args.coalesce_wait_ms
         ),
-        coalesce_singles=not args.no_coalesce,
     )
 
 
@@ -815,17 +814,16 @@ def cmd_snapshot(args) -> int:
 
 
 def cmd_restore(args) -> int:
-    from repro.runtime import DataDir, list_snapshots, restore_snapshot
+    from repro.runtime import DataDir, latest_snapshot, restore_snapshot
 
     layout = DataDir(args.data_dir)
     snapshot_id = args.snapshot
     if snapshot_id == "latest":
-        ids = list_snapshots(layout.snapshots_dir)
-        if not ids:
+        snapshot_id = latest_snapshot(layout.snapshots_dir)
+        if snapshot_id is None:
             print(f"error: no snapshots under {layout.snapshots_dir}",
                   file=sys.stderr)
             return 1
-        snapshot_id = ids[-1]
     obs = _make_obs(args)
     report = restore_snapshot(
         layout.snapshots_dir, snapshot_id, layout.snapshot_sources(),
@@ -1075,8 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="micro-batch flush size for single requests")
         parser.add_argument("--coalesce-wait-ms", type=float, default=2.0,
                             help="max ms a single request waits to be batched")
-        parser.add_argument("--no-coalesce", action="store_true",
-                            help="serve singles directly instead of micro-batching")
 
     serve_http = subparsers.add_parser(
         "serve-http", help="serve the cascade over the versioned /v1 HTTP API"

@@ -111,7 +111,6 @@ class EdgeConfig:
     idle_timeout_s: float = 30.0
     workers: int = 8
     coalesce: CoalesceConfig = field(default_factory=CoalesceConfig)
-    coalesce_singles: bool = True
     retry_after_s: float = 1.0  # Retry-After hint on every 429/503 shed
     # Highest feedback user id accepted = served n_users + this headroom.
     # Acknowledged ids are replayed forever and grow the factor matrix,
@@ -436,14 +435,7 @@ class EdgeServer:
         )
 
     async def _serve_one(self, parsed: RecommendRequestV1) -> HttpResponse:
-        serving_request = self._clamp_deadline(parsed).to_serving()
-        if self.config.coalesce_singles:
-            served = await self._batcher.submit(serving_request)
-        else:
-            loop = asyncio.get_running_loop()
-            served = await loop.run_in_executor(
-                self._pool, lambda: self.service.recommend(serving_request)
-            )
+        served = await self._batcher.submit(self._clamp_deadline(parsed).to_serving())
         return HttpResponse(200, RecommendResponseV1(served=served).to_json_dict())
 
     async def _handle_recommend(self, request: HttpRequest) -> HttpResponse:

@@ -1,4 +1,4 @@
-"""Recommender interfaces and the shared tuple-SGD training engine.
+"""Recommender interfaces and the shared SGD training loop.
 
 Every pairwise / list-and-pairwise model in the paper maximizes an
 objective of the form ``sum ln sigma(R)`` where ``R`` is a *linear
@@ -16,6 +16,10 @@ CLAPF-MAP     (k, i, j)                (λ, 1-2λ, -(1-λ))
 CLAPF-MRR     (i, k, j)                (1, -λ, -(1-λ))
 MPR           (i, v, j)                (λ, 1-2λ, -(1-λ))
 ============  =======================  ==========================
+
+Its epoch is one hook of :class:`EpochSGDRecommender`, the only
+resilient training loop: CLiMF plugs its exact per-user pass into the
+same loop, so resume, guard rollback, checkpoints and metrics exist once.
 """
 
 from __future__ import annotations
@@ -220,8 +224,18 @@ class FactorRecommender(Recommender):
         return self.params_.predict_batch(users)
 
 
-class TupleSGDRecommender(FactorRecommender):
-    """Generic maximizer of ``sum ln sigma(R(u, tuple))`` by mini-batch SGD.
+class EpochSGDRecommender(FactorRecommender):
+    """A factor model trained by the shared resilient epoch loop.
+
+    :meth:`fit` owns everything around one epoch — initialization or
+    resume, the divergence guard and its rollback, epoch-boundary
+    checkpoints, early stopping, and per-epoch metrics — and keeps all
+    of its state in one :class:`~repro.resilience.checkpoint.TrainingCheckpoint`
+    record: the same capture feeds the checkpoint files and the guard's
+    in-memory copy of the last healthy epoch, and the same restore
+    serves ``fit(resume_from=...)`` and rollback.  Subclasses supply the
+    epoch itself (:meth:`_run_epoch`) and, when they draw tuples, the
+    sampler hooks.
 
     Parameters
     ----------
@@ -231,11 +245,8 @@ class TupleSGDRecommender(FactorRecommender):
         Learning-rate / epoch / batch configuration.
     reg:
         L2 weights (alpha_u, alpha_v, beta_v).
-    sampler:
-        Tuple sampler; defaults to :class:`UniformSampler`.  Adaptive
-        samplers receive the live parameters at bind time.
     seed:
-        Seed for initialization and sampling.
+        Seed for initialization and the epoch's random draws.
     epoch_callback:
         Called as ``callback(model, epoch)`` after each epoch — used by
         the convergence experiments (Fig. 4) to trace metrics.
@@ -262,13 +273,14 @@ class TupleSGDRecommender(FactorRecommender):
         killed run restarts with ``fit(..., resume_from=...)``.
     fault_injector:
         Testing hook — a
-        :class:`~repro.resilience.chaos.FaultInjector` ticked once per
-        SGD step, used by the fault-injection suite.
+        :class:`~repro.resilience.chaos.FaultInjector` ticked by the
+        epoch (once per SGD step in the tuple-SGD models), used by the
+        fault-injection suite.
     obs:
         Optional :class:`~repro.obs.registry.MetricsRegistry`.  The
         training loop records per-epoch loss / learning rate / wall
         time, grad-clip activations, divergence-guard rollbacks, and
-        validation scores; the sampler shares the registry for draw and
+        validation scores; a sampler shares the registry for draw and
         rejection counters.  Defaults to the no-op registry, which
         leaves training bitwise identical to the uninstrumented path.
     """
@@ -279,7 +291,6 @@ class TupleSGDRecommender(FactorRecommender):
         *,
         sgd: SGDConfig | None = None,
         reg: RegularizationConfig | None = None,
-        sampler: Sampler | None = None,
         seed=None,
         epoch_callback: EpochCallback | None = None,
         early_stopping: EarlyStoppingConfig | None = None,
@@ -293,7 +304,6 @@ class TupleSGDRecommender(FactorRecommender):
         self.n_factors = int(n_factors)
         self.sgd = sgd or SGDConfig()
         self.reg = reg or RegularizationConfig()
-        self.sampler = sampler or UniformSampler()
         self.seed = seed
         self.epoch_callback = epoch_callback
         self.early_stopping = early_stopping
@@ -307,22 +317,33 @@ class TupleSGDRecommender(FactorRecommender):
         self.validation_history_: list[float] = []
         self.best_epoch_: int | None = None
         self.stopped_early_: bool = False
+        self._active_guard = None
 
     # -- model-specific structure --------------------------------------
     @abstractmethod
-    def _tuple_terms(self, batch: TupleBatch) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(items, coefficients)`` defining ``R`` for the batch.
+    def _run_epoch(self, rng: np.random.Generator) -> tuple[float, str | None]:
+        """One pass over the training data: ``(mean loss, divergence)``.
 
-        ``items`` is ``(B, S)`` int64 — the item ids entering ``R``;
-        ``coefficients`` is ``(S,)`` or ``(B, S)`` float — their weights,
-        so ``R_b = sum_s coefficients[s] * f(u_b, items[b, s])``.
+        The loss is the value the guard watches and ``loss_history_``
+        records (lower is better).  ``divergence`` is a reason string
+        when the pass stopped early on a non-finite step, else ``None``.
         """
 
-    def _make_batch(self, batch_size: int, rng: np.random.Generator) -> TupleBatch:
-        """Hook for models that post-process the sampled batch (MPR)."""
-        return self.sampler.sample(batch_size, rng)
+    def _on_fit_start(self, train: InteractionMatrix) -> None:
+        """Hook for subclasses that precompute per-fit structures."""
 
-    # -- resilience plumbing ---------------------------------------------
+    def _bind_sampler(self, state: dict | None) -> None:
+        """Attach the sampler to the live parameters, then load ``state``.
+
+        Called at fit start (``state=None``) and on every restore.
+        Models without a sampler have nothing to bind.
+        """
+
+    def _sampler_state(self) -> dict:
+        """The sampler's ``state_dict`` (empty without a sampler)."""
+        return {}
+
+    # -- training state ------------------------------------------------
     def _resolve_checkpoint_manager(self):
         from repro.resilience.checkpoint import CheckpointConfig, CheckpointManager
 
@@ -337,47 +358,17 @@ class TupleSGDRecommender(FactorRecommender):
             f"got {type(self.checkpoint).__name__}"
         )
 
-    def _capture_snapshot(self, epoch: int, rng, stopping_state: dict) -> dict:
-        """In-memory copy of the training state at a healthy epoch boundary."""
-        return {
-            "epoch": epoch,
-            "params": self.params_.copy(),
-            "rng_state": copy.deepcopy(rng.bit_generator.state),
-            "sampler_state": self.sampler.state_dict(),
-            "n_losses": len(self.loss_history_),
-            "n_vals": len(self.validation_history_),
-            "best_score": stopping_state["best_score"],
-            "best_params": stopping_state["best_params"],
-            "stale": stopping_state["stale"],
-            "best_epoch": self.best_epoch_,
-        }
-
-    def _restore_snapshot(self, snapshot: dict, rng, stopping_state: dict) -> int:
-        """Roll training back to ``snapshot``; returns the epoch to rerun."""
-        self.params_ = snapshot["params"].copy()
-        rng.bit_generator.state = copy.deepcopy(snapshot["rng_state"])
-        self.sampler.bind(self._train, self.params_)
-        self.sampler.load_state_dict(snapshot["sampler_state"])
-        del self.loss_history_[snapshot["n_losses"]:]
-        del self.validation_history_[snapshot["n_vals"]:]
-        stopping_state.update(
-            best_score=snapshot["best_score"],
-            best_params=snapshot["best_params"],
-            stale=snapshot["stale"],
-        )
-        self.best_epoch_ = snapshot["best_epoch"]
-        return snapshot["epoch"] + 1
-
-    def _make_checkpoint(self, epoch: int, rng, stopping_state: dict):
+    def _capture(self, epoch: int, rng, stopping_state: dict):
+        """The training state after ``epoch``, copied so training can go on."""
         from repro.resilience.checkpoint import TrainingCheckpoint
 
         best_score = stopping_state["best_score"]
-        sampler_state = self.sampler.state_dict()
+        sampler_state = self._sampler_state()
         return TrainingCheckpoint(
             epoch=epoch,
-            params=self.params_,
-            rng_state=rng.bit_generator.state,
-            sampler_step=sampler_state.pop("step"),
+            params=self.params_.copy(),
+            rng_state=copy.deepcopy(rng.bit_generator.state),
+            sampler_step=sampler_state.pop("step", 0),
             sampler_state=sampler_state,
             learning_rate=self.learning_rate_,
             loss_history=list(self.loss_history_),
@@ -389,6 +380,30 @@ class TupleSGDRecommender(FactorRecommender):
             extra={"model": self.name},
         )
 
+    def _restore(self, checkpoint, rng, stopping_state: dict) -> int:
+        """Continue training from ``checkpoint``; returns the epoch to run next."""
+        self.params_ = checkpoint.params.copy()
+        try:
+            rng.bit_generator.state = copy.deepcopy(checkpoint.rng_state)
+        except (KeyError, TypeError, ValueError) as error:
+            raise CheckpointError(f"cannot restore RNG state: {error}") from error
+        self._bind_sampler({**checkpoint.sampler_state, "step": checkpoint.sampler_step})
+        self.learning_rate_ = (
+            checkpoint.learning_rate
+            if checkpoint.learning_rate is not None
+            else self.sgd.learning_rate
+        )
+        self.loss_history_ = list(checkpoint.loss_history)
+        self.validation_history_ = list(checkpoint.validation_history)
+        self.best_epoch_ = checkpoint.best_epoch
+        best_params = checkpoint.best_params
+        stopping_state.update(
+            best_score=checkpoint.best_score if checkpoint.best_score is not None else -np.inf,
+            best_params=best_params.copy() if best_params is not None else None,
+            stale=checkpoint.stale_evals,
+        )
+        return checkpoint.epoch + 1
+
     # -- training --------------------------------------------------------
     def fit(
         self,
@@ -396,7 +411,7 @@ class TupleSGDRecommender(FactorRecommender):
         validation: InteractionMatrix | None = None,
         *,
         resume_from=None,
-    ) -> "TupleSGDRecommender":
+    ) -> "EpochSGDRecommender":
         """Train the model; optionally resume from a saved checkpoint.
 
         ``resume_from`` accepts a
@@ -407,6 +422,8 @@ class TupleSGDRecommender(FactorRecommender):
         so the resumed run is bitwise identical to the uninterrupted one
         (adaptive samplers included: their ranking caches are restored
         from the checkpoint, not rebuilt from the resumed parameters).
+        A guard rollback restores the last healthy epoch the same way,
+        keeping only the backed-off learning rate.
         """
         from repro.resilience.checkpoint import resolve_checkpoint
         from repro.resilience.guard import as_guard
@@ -415,7 +432,6 @@ class TupleSGDRecommender(FactorRecommender):
             raise ConfigError("early_stopping requires a validation matrix in fit()")
         guard = as_guard(self.guard)
         manager = self._resolve_checkpoint_manager()
-        injector = self.fault_injector
         rng = as_generator(self.seed)
 
         stopping_state = {"best_score": -np.inf, "best_params": None, "stale": 0}
@@ -427,46 +443,21 @@ class TupleSGDRecommender(FactorRecommender):
                     f"checkpoint shape ({resumed.params.n_users}x{resumed.params.n_items}) "
                     f"does not match training data ({train.n_users}x{train.n_items})"
                 )
-            self.params_ = resumed.params.copy()
-        else:
-            reusable = (
-                self.warm_start
-                and self.params_ is not None
-                and self.params_.n_users == train.n_users
-                and self.params_.n_items == train.n_items
+        elif not (
+            self.warm_start
+            and self.params_ is not None
+            and self.params_.n_users == train.n_users
+            and self.params_.n_items == train.n_items
+        ):
+            self.params_ = FactorParams.init(
+                train.n_users, train.n_items, self.n_factors, seed=rng
             )
-            if not reusable:
-                self.params_ = FactorParams.init(
-                    train.n_users, train.n_items, self.n_factors, seed=rng
-                )
         self._train = train
         self._on_fit_start(train)
-        self.sampler.bind(train, self.params_)
-        self.sampler.obs = self.obs
-
         if resumed is not None:
-            try:
-                rng.bit_generator.state = copy.deepcopy(resumed.rng_state)
-            except (KeyError, TypeError, ValueError) as error:
-                raise CheckpointError(f"cannot restore RNG state: {error}") from error
-            self.sampler.load_state_dict(
-                {**resumed.sampler_state, "step": resumed.sampler_step}
-            )
-            self.learning_rate_ = (
-                resumed.learning_rate
-                if resumed.learning_rate is not None
-                else self.sgd.learning_rate
-            )
-            self.loss_history_ = list(resumed.loss_history)
-            self.validation_history_ = list(resumed.validation_history)
-            self.best_epoch_ = resumed.best_epoch
-            stopping_state = {
-                "best_score": resumed.best_score if resumed.best_score is not None else -np.inf,
-                "best_params": resumed.best_params.copy() if resumed.best_params is not None else None,
-                "stale": resumed.stale_evals,
-            }
-            start_epoch = resumed.epoch + 1
+            start_epoch = self._restore(resumed, rng, stopping_state)
         else:
+            self._bind_sampler(None)
             self.learning_rate_ = self.sgd.learning_rate
             self.loss_history_ = []
             self.validation_history_ = []
@@ -476,13 +467,12 @@ class TupleSGDRecommender(FactorRecommender):
         if guard is not None:
             guard.reset()
         self._active_guard = guard
-        if injector is not None:
-            injector.reset()
+        if self.fault_injector is not None:
+            self.fault_injector.reset()
 
         stopping = self.early_stopping
-        steps = self.sgd.steps_per_epoch(train.n_interactions)
-        snapshot = (
-            self._capture_snapshot(start_epoch - 1, rng, stopping_state)
+        last_healthy = (
+            self._capture(start_epoch - 1, rng, stopping_state)
             if guard is not None
             else None
         )
@@ -493,18 +483,7 @@ class TupleSGDRecommender(FactorRecommender):
             while epoch < self.sgd.n_epochs:
                 epoch_start = obs.clock.monotonic()
                 clips_before = guard.clips_ if guard is not None else 0
-                epoch_loss = 0.0
-                diverged: str | None = None
-                for _ in range(steps):
-                    batch = self._make_batch(self.sgd.batch_size, rng)
-                    loss = self._sgd_step(batch)
-                    epoch_loss += loss
-                    if injector is not None:
-                        injector.tick(self.params_)
-                    if guard is not None and not np.isfinite(loss):
-                        diverged = f"non-finite step loss ({loss})"
-                        break
-                mean_loss = epoch_loss / steps
+                mean_loss, diverged = self._run_epoch(rng)
                 if guard is not None:
                     clips = guard.clips_ - clips_before
                     if clips:
@@ -518,8 +497,9 @@ class TupleSGDRecommender(FactorRecommender):
                         )
                         # May raise DivergenceError (abort policy / budget spent).
                         guard.record_backoff(reason, epoch=epoch)
-                        self.learning_rate_ *= guard.config.backoff_factor
-                        epoch = self._restore_snapshot(snapshot, rng, stopping_state)
+                        learning_rate = self.learning_rate_ * guard.config.backoff_factor
+                        epoch = self._restore(last_healthy, rng, stopping_state)
+                        self.learning_rate_ = learning_rate
                         continue
                 self.loss_history_.append(mean_loss)
                 epoch_seconds = obs.clock.monotonic() - epoch_start
@@ -556,10 +536,11 @@ class TupleSGDRecommender(FactorRecommender):
                         # Stalled validation: stop rather than burn epochs.
                         self.stopped_early_ = True
                         stop = True
-                if guard is not None:
-                    snapshot = self._capture_snapshot(epoch, rng, stopping_state)
-                if manager is not None and manager.should_save(epoch):
-                    manager.save(self._make_checkpoint(epoch, rng, stopping_state))
+                saving = manager is not None and manager.should_save(epoch)
+                if guard is not None or saving:
+                    last_healthy = self._capture(epoch, rng, stopping_state)
+                if saving:
+                    manager.save(last_healthy)
                 if stop:
                     break
                 epoch += 1
@@ -569,8 +550,63 @@ class TupleSGDRecommender(FactorRecommender):
             self.params_ = stopping_state["best_params"]
         return self
 
-    def _on_fit_start(self, train: InteractionMatrix) -> None:
-        """Hook for subclasses that precompute per-fit structures (GBPR)."""
+
+class TupleSGDRecommender(EpochSGDRecommender):
+    """Generic maximizer of ``sum ln sigma(R(u, tuple))`` by mini-batch SGD.
+
+    Each epoch draws ``SGDConfig.steps_per_epoch`` mini-batches of tuples
+    from ``sampler`` and takes one vectorized ascent step on each.  The
+    other parameters are those of :class:`EpochSGDRecommender`.
+
+    Parameters
+    ----------
+    sampler:
+        Tuple sampler; defaults to :class:`UniformSampler`.  Adaptive
+        samplers receive the live parameters at bind time.
+    """
+
+    def __init__(self, n_factors: int = 20, *, sampler: Sampler | None = None, **kwargs):
+        super().__init__(n_factors, **kwargs)
+        self.sampler = sampler or UniformSampler()
+
+    # -- model-specific structure --------------------------------------
+    @abstractmethod
+    def _tuple_terms(self, batch: TupleBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(items, coefficients)`` defining ``R`` for the batch.
+
+        ``items`` is ``(B, S)`` int64 — the item ids entering ``R``;
+        ``coefficients`` is ``(S,)`` or ``(B, S)`` float — their weights,
+        so ``R_b = sum_s coefficients[s] * f(u_b, items[b, s])``.
+        """
+
+    def _make_batch(self, batch_size: int, rng: np.random.Generator) -> TupleBatch:
+        """Hook for models that post-process the sampled batch (MPR)."""
+        return self.sampler.sample(batch_size, rng)
+
+    # -- the shared loop's hooks ----------------------------------------
+    def _bind_sampler(self, state: dict | None) -> None:
+        self.sampler.bind(self._train, self.params_)
+        self.sampler.obs = self.obs
+        if state is not None:
+            self.sampler.load_state_dict(state)
+
+    def _sampler_state(self) -> dict:
+        return self.sampler.state_dict()
+
+    def _run_epoch(self, rng: np.random.Generator) -> tuple[float, str | None]:
+        guard = self._active_guard
+        injector = self.fault_injector
+        steps = self.sgd.steps_per_epoch(self._train.n_interactions)
+        epoch_loss = 0.0
+        for _ in range(steps):
+            batch = self._make_batch(self.sgd.batch_size, rng)
+            loss = self._sgd_step(batch)
+            epoch_loss += loss
+            if injector is not None:
+                injector.tick(self.params_)
+            if guard is not None and not np.isfinite(loss):
+                return epoch_loss / steps, f"non-finite step loss ({loss})"
+        return epoch_loss / steps, None
 
     def _sgd_step(self, batch: TupleBatch) -> float:
         """One vectorized ascent step on the batch; returns mean -ln sigma(R)."""
@@ -587,7 +623,7 @@ class TupleSGDRecommender(FactorRecommender):
         residual = 1.0 - sigmoid(margin)  # (B,)
 
         lr = self.learning_rate_ if self.learning_rate_ is not None else self.sgd.learning_rate
-        guard = getattr(self, "_active_guard", None)
+        guard = self._active_guard
         # User factors: dR/dU_u = sum_s c_s V_s.
         user_grad = np.einsum("bs,bsd->bd", coefficients, item_vecs)
         user_update = lr * (residual[:, None] * user_grad - self.reg.alpha_u * user_vecs)

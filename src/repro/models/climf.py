@@ -14,29 +14,27 @@ size, which is exactly why Table 2 reports CLiMF as the slow method
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from repro.data.interactions import InteractionMatrix
 from repro.mf.functional import sigmoid
-from repro.mf.params import FactorParams
 from repro.mf.sgd import RegularizationConfig, SGDConfig
-from repro.models.base import EpochCallback, FactorRecommender
-from repro.obs.registry import MetricsRegistry, as_registry
-from repro.utils.rng import as_generator
+from repro.models.base import EpochCallback, EpochSGDRecommender
+from repro.obs.registry import MetricsRegistry
 
 
-class CLiMF(FactorRecommender):
+class CLiMF(EpochSGDRecommender):
     """Smoothed-MRR listwise matrix factorization.
 
-    Parameters mirror :class:`~repro.models.base.TupleSGDRecommender`
+    Parameters mirror :class:`~repro.models.base.EpochSGDRecommender`
     but no sampler is involved: each epoch performs one exact
-    full-profile gradient ascent step per user (the original CLiMF
-    learning scheme).  ``guard``, ``checkpoint``, ``fault_injector``,
-    and ``fit(resume_from=...)`` behave as in the tuple-SGD models;
-    the fault injector ticks once per *epoch* here (CLiMF has no
-    sampled steps).
+    full-profile gradient ascent step per user, in a fresh random user
+    order (the original CLiMF learning scheme).  Resume, guards,
+    checkpoints and metrics come from the shared epoch loop; the fault
+    injector ticks once per *epoch* here (CLiMF has no sampled steps).
+    The loop minimizes a loss, so each epoch reports the negated mean
+    objective: ``loss_history_`` holds it and ``objective_history_``
+    negates it back.
     """
 
     def __init__(
@@ -52,22 +50,38 @@ class CLiMF(FactorRecommender):
         fault_injector=None,
         obs: MetricsRegistry | None = None,
     ):
-        super().__init__()
-        self.n_factors = int(n_factors)
-        self.sgd = sgd or SGDConfig()
-        self.reg = reg or RegularizationConfig()
-        self.seed = seed
-        self.epoch_callback = epoch_callback
-        self.guard = guard
-        self.checkpoint = checkpoint
-        self.fault_injector = fault_injector
-        self.obs = as_registry(obs)
-        self.learning_rate_: float | None = None
-        self.objective_history_: list[float] = []
+        super().__init__(
+            n_factors,
+            sgd=sgd,
+            reg=reg,
+            seed=seed,
+            epoch_callback=epoch_callback,
+            guard=guard,
+            checkpoint=checkpoint,
+            fault_injector=fault_injector,
+            obs=obs,
+        )
+        self._users_with_items: list[int] = []
 
     @property
     def name(self) -> str:
         return "CLiMF"
+
+    @property
+    def objective_history_(self) -> list[float]:
+        """Mean smoothed-MRR bound per epoch (the negated ``loss_history_``)."""
+        return [-loss for loss in self.loss_history_]
+
+    def _on_fit_start(self, train: InteractionMatrix) -> None:
+        self._users_with_items = [user for user, _ in train.iter_users()]
+
+    def _run_epoch(self, rng: np.random.Generator) -> tuple[float, str | None]:
+        total = 0.0
+        for user in rng.permutation(self._users_with_items):
+            total += self._user_step(int(user), self._train.positives(int(user)))
+        if self.fault_injector is not None:
+            self.fault_injector.tick(self.params_)
+        return -(total / max(len(self._users_with_items), 1)), None
 
     def _user_step(self, user: int, positives: np.ndarray) -> float:
         """Exact ascent step on user ``user``'s smoothed-MRR bound."""
@@ -96,117 +110,3 @@ class CLiMF(FactorRecommender):
         params.item_factors[positives] += lr * (coeff[:, None] * user_vec[None, :] - self.reg.alpha_v * item_vecs)
         params.item_bias[positives] += lr * (coeff - self.reg.beta_v * bias)
         return objective
-
-    def fit(
-        self,
-        train: InteractionMatrix,
-        validation: InteractionMatrix | None = None,
-        *,
-        resume_from=None,
-    ) -> "CLiMF":
-        from repro.resilience.checkpoint import (
-            CheckpointConfig,
-            CheckpointManager,
-            TrainingCheckpoint,
-            resolve_checkpoint,
-        )
-        from repro.resilience.guard import as_guard
-        from repro.utils.exceptions import CheckpointError
-
-        guard = as_guard(self.guard)
-        manager = self.checkpoint
-        if isinstance(manager, CheckpointConfig):
-            manager = CheckpointManager(manager)
-        injector = self.fault_injector
-        rng = as_generator(self.seed)
-        self._train = train
-
-        if resume_from is not None:
-            resumed = resolve_checkpoint(resume_from)
-            if (resumed.params.n_users, resumed.params.n_items) != (train.n_users, train.n_items):
-                raise CheckpointError(
-                    f"checkpoint shape ({resumed.params.n_users}x{resumed.params.n_items}) "
-                    f"does not match training data ({train.n_users}x{train.n_items})"
-                )
-            self.params_ = resumed.params.copy()
-            rng.bit_generator.state = copy.deepcopy(resumed.rng_state)
-            self.learning_rate_ = (
-                resumed.learning_rate
-                if resumed.learning_rate is not None
-                else self.sgd.learning_rate
-            )
-            self.objective_history_ = list(resumed.loss_history)
-            start_epoch = resumed.epoch + 1
-        else:
-            self.params_ = FactorParams.init(
-                train.n_users, train.n_items, self.n_factors, seed=rng
-            )
-            self.learning_rate_ = self.sgd.learning_rate
-            self.objective_history_ = []
-            start_epoch = 0
-        if guard is not None:
-            guard.reset()
-        if injector is not None:
-            injector.reset()
-
-        users_with_items = [user for user, _ in train.iter_users()]
-        n_users = max(len(users_with_items), 1)
-        snapshot = None
-        if guard is not None:
-            snapshot = (start_epoch - 1, self.params_.copy(),
-                        copy.deepcopy(rng.bit_generator.state), len(self.objective_history_))
-
-        obs = self.obs
-        epoch = start_epoch
-        while epoch < self.sgd.n_epochs:
-            epoch_start = obs.clock.monotonic()
-            total = 0.0
-            for user in rng.permutation(users_with_items):
-                total += self._user_step(int(user), train.positives(int(user)))
-            if injector is not None:
-                injector.tick(self.params_)
-            mean_objective = total / n_users
-            if guard is not None:
-                # CLiMF *maximizes* its bound, so feed the guard the
-                # negated objective (a loss-shaped, decreasing signal).
-                reason = guard.check_epoch(self.params_, -mean_objective)
-                if reason is not None:
-                    obs.counter("train_rollbacks_total", model=self.name).inc()
-                    obs.event(
-                        "rollback", model=self.name, epoch=epoch, reason=reason,
-                        learning_rate=self.learning_rate_,
-                    )
-                    guard.record_backoff(reason, epoch=epoch)
-                    self.learning_rate_ *= guard.config.backoff_factor
-                    snap_epoch, snap_params, snap_rng, snap_len = snapshot
-                    self.params_ = snap_params.copy()
-                    rng.bit_generator.state = copy.deepcopy(snap_rng)
-                    del self.objective_history_[snap_len:]
-                    epoch = snap_epoch + 1
-                    continue
-            self.objective_history_.append(mean_objective)
-            epoch_seconds = obs.clock.monotonic() - epoch_start
-            obs.counter("train_epochs_total", model=self.name).inc()
-            obs.histogram("train_epoch_seconds", model=self.name).observe(epoch_seconds)
-            obs.gauge("train_objective", model=self.name).set(mean_objective)
-            obs.gauge("train_learning_rate", model=self.name).set(self.learning_rate_)
-            obs.event(
-                "epoch", model=self.name, epoch=epoch, objective=mean_objective,
-                learning_rate=self.learning_rate_, seconds=epoch_seconds,
-            )
-            if self.epoch_callback is not None:
-                self.epoch_callback(self, epoch)
-            if guard is not None:
-                snapshot = (epoch, self.params_.copy(),
-                            copy.deepcopy(rng.bit_generator.state), len(self.objective_history_))
-            if manager is not None and manager.should_save(epoch):
-                manager.save(TrainingCheckpoint(
-                    epoch=epoch,
-                    params=self.params_,
-                    rng_state=rng.bit_generator.state,
-                    learning_rate=self.learning_rate_,
-                    loss_history=list(self.objective_history_),
-                    extra={"model": self.name},
-                ))
-            epoch += 1
-        return self

@@ -100,7 +100,7 @@ class GBPR(TupleSGDRecommender):
         residual = 1.0 - sigmoid(margin)
 
         lr = self.learning_rate_ if self.learning_rate_ is not None else self.sgd.learning_rate
-        guard = getattr(self, "_active_guard", None)
+        guard = self._active_guard
         reg = self.reg
 
         # dR/dU_u = (1 - rho) V_i - V_j ; group members get rho/|G| V_i.

@@ -5,6 +5,7 @@ from repro.runtime.snapshot import (
     RestoreReport,
     SnapshotManifest,
     create_snapshot,
+    latest_snapshot,
     list_snapshots,
     load_manifest,
     restore_marker_present,
@@ -43,6 +44,7 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "create_snapshot",
+    "latest_snapshot",
     "list_snapshots",
     "load_manifest",
     "restore_marker_present",

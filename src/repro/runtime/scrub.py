@@ -39,6 +39,7 @@ the next scrub to a re-baseline.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -68,7 +69,8 @@ def _blob_structurally_valid(path: Path, data: bytes) -> bool:
     """Cheap structural witness for non-WAL artifacts.
 
     ``.json`` must parse; ``.npz`` must pass the zip CRC walk that
-    ``np.load`` performs when each member is actually read.  Unknown
+    ``np.load`` performs when each member is actually read — of the
+    bytes already read, so the witness sees what was hashed.  Unknown
     suffixes get no structural check (the inode rule still applies).
     """
     if path.suffix == ".json":
@@ -79,7 +81,7 @@ def _blob_structurally_valid(path: Path, data: bytes) -> bool:
         return True
     if path.suffix == ".npz":
         try:
-            with np.load(path, allow_pickle=False) as archive:
+            with np.load(io.BytesIO(data), allow_pickle=False) as archive:
                 for name in archive.files:
                     archive[name]
         except (OSError, ValueError, KeyError, zipfile.BadZipFile):
@@ -256,7 +258,11 @@ class Scrubber:
         for relpath in sorted(set(primary_files) | set(mirror_files) | set(manifest)):
             primary_path = pair.primary / relpath
             mirror_path = pair.mirror / relpath
-            if relpath not in primary_files:
+            try:
+                primary_data = primary_path.read_bytes() if relpath in primary_files else None
+            except FileNotFoundError:
+                primary_data = None  # pruned by its owner since the scan
+            if primary_data is None:
                 # Primary deletion (checkpoint pruning) propagates; the
                 # snapshot layer, not the mirror, covers "the whole
                 # directory was wiped" — a scrub must not resurrect
@@ -269,12 +275,12 @@ class Scrubber:
             report.files_checked += 1
             if relpath.endswith(".wal"):
                 self._scrub_wal(
-                    pair, relpath, primary_path, mirror_path,
+                    pair, relpath, primary_path, primary_data, mirror_path,
                     active=primary_path in active, report=report,
                 )
             else:
                 self._scrub_blob(
-                    pair, relpath, primary_path, mirror_path,
+                    pair, relpath, primary_path, primary_data, mirror_path,
                     manifest=manifest, report=report,
                 )
         self._store_manifest(pair, manifest)
@@ -287,12 +293,12 @@ class Scrubber:
         pair: ReplicaPair,
         relpath: str,
         primary_path: Path,
+        primary_data: bytes,
         mirror_path: Path,
         *,
         active: bool,
         report: ScrubReport,
     ) -> None:
-        primary_data = primary_path.read_bytes()
         _, primary_valid = decode_frames(primary_data)
         mirror_data = mirror_path.read_bytes() if mirror_path.is_file() else b""
         _, mirror_valid = decode_frames(mirror_data)
@@ -351,12 +357,12 @@ class Scrubber:
         pair: ReplicaPair,
         relpath: str,
         primary_path: Path,
+        data: bytes,
         mirror_path: Path,
         *,
         manifest: dict[str, dict],
         report: ScrubReport,
     ) -> None:
-        data = primary_path.read_bytes()
         sha = _sha256(data)
         fingerprint = file_fingerprint(primary_path) or ""
         entry = manifest.get(relpath)

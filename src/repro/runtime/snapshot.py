@@ -23,7 +23,9 @@ Restore discipline:
 
 Snapshot ids are ``{tag}-{seq:06d}`` with ``seq`` derived from the
 bundle directory contents, so ids are deterministic (no wall-clock or
-randomness — REP001/REP002) yet strictly increasing per bundle root.
+randomness — REP001/REP002) yet strictly increasing per tag.  Each
+manifest also records a root-wide creation ``sequence``, which is how
+:func:`latest_snapshot` finds the newest bundle across tags.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ class SnapshotManifest:
     ``files`` maps ``"{source}/{relpath}"`` to ``{"sha256", "size"}``;
     ``sources`` records the original directory of each source name for
     operator forensics (restore targets are chosen at restore time, not
-    read from here).
+    read from here).  ``sequence`` numbers the bundles of one root in
+    creation order across tags (ids number per tag); ``-1`` marks a
+    bundle written before it was recorded.
     """
 
     snapshot_id: str
@@ -63,6 +67,7 @@ class SnapshotManifest:
     sources: Mapping[str, str]
     files: Mapping[str, dict]
     version: int = _MANIFEST_VERSION
+    sequence: int = -1
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,6 +76,7 @@ class SnapshotManifest:
             "sources": dict(self.sources),
             "files": {key: dict(value) for key, value in self.files.items()},
             "version": self.version,
+            "sequence": self.sequence,
         }
 
     @classmethod
@@ -87,6 +93,7 @@ class SnapshotManifest:
             sources=dict(payload["sources"]),
             files={key: dict(value) for key, value in payload["files"].items()},
             version=version,
+            sequence=int(payload.get("sequence", -1)),
         )
 
 
@@ -125,6 +132,22 @@ def list_snapshots(root: str | Path) -> list[str]:
     )
 
 
+def _sequence(root: Path, snapshot_id: str) -> int:
+    """A bundle's creation sequence (-1 when unrecorded or unreadable)."""
+    try:
+        return load_manifest(root, snapshot_id).sequence
+    except (DataError, KeyError, ValueError):
+        return -1
+
+
+def latest_snapshot(root: str | Path) -> str | None:
+    """Id of the most recently created bundle under ``root``, if any."""
+    ids = list_snapshots(root)
+    if not ids:
+        return None
+    return max(ids, key=lambda snapshot_id: (_sequence(Path(root), snapshot_id), snapshot_id))
+
+
 def _next_snapshot_id(root: Path, tag: str) -> str:
     existing = list_snapshots(root)
     sequence = 0
@@ -158,6 +181,9 @@ def create_snapshot(
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     snapshot_id = _next_snapshot_id(root, tag)
+    sequence = 1 + max(
+        (_sequence(root, existing) for existing in list_snapshots(root)), default=-1
+    )
     bundle = _bundle_dir(root, snapshot_id)
     files: dict[str, dict] = {}
     recorded_sources: dict[str, str] = {}
@@ -178,6 +204,7 @@ def create_snapshot(
             tag=tag,
             sources=recorded_sources,
             files=files,
+            sequence=sequence,
         )
         write_json_atomic(bundle / MANIFEST_NAME, manifest.to_json_dict(), durable=True)
     registry.counter("snapshot_creates_total").inc()

@@ -41,7 +41,7 @@ from repro.serving.reload import (
     ModelSlot,
     ReloadResult,
 )
-from repro.serving.schema import RecommendationResponse, ServedResponse
+from repro.serving.schema import ServedResponse
 from repro.serving.service import (
     STATIC_POPULARITY,
     RecommendationService,
@@ -86,7 +86,6 @@ __all__ = [
     "PersonalizedTier",
     "PopularityTier",
     "RecommendationRequest",
-    "RecommendationResponse",
     "RecommendationService",
     "ReloadResult",
     "STATIC_POPULARITY",

@@ -8,8 +8,6 @@ and why": the ranked items plus the provenance fields
 directly, and the HTTP edge (:mod:`repro.edge`) serializes it verbatim
 through :meth:`to_json_dict` — both layers read the same dataclass, so
 the in-process and wire representations cannot drift.
-
-``RecommendationResponse`` remains as a backwards-compatible alias.
 """
 
 from __future__ import annotations
@@ -119,7 +117,3 @@ class ServedResponse:
             retrieval=str(payload.get("retrieval", "exact")),
             tier_errors=dict(payload.get("tier_errors") or {}),
         )
-
-
-#: Backwards-compatible alias — PR 3 shipped the class under this name.
-RecommendationResponse = ServedResponse

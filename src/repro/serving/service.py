@@ -19,7 +19,7 @@ request is a batch of one.  Per batch it
    its shard breaker and the per-tier stats, so a batch of N moves
    them exactly as N single requests would; failed requests move on to
    the next tier;
-4. returns one :class:`RecommendationResponse` per request carrying
+4. returns one :class:`ServedResponse` per request carrying
    full provenance: which tier answered (``served_by``), whether that
    was a degradation (``degraded``), how much budget was left
    (``deadline_ms_left``), and the live model version.
@@ -46,7 +46,7 @@ from repro.serving.breaker import BreakerConfig, CircuitBreaker
 from repro.utils.clock import Clock, as_clock
 from repro.serving.deadline import BudgetExecutor, Deadline, ThreadedExecutor
 from repro.serving.reload import ModelSlot
-from repro.serving.schema import RecommendationResponse
+from repro.serving.schema import ServedResponse
 from repro.serving.tiers import (
     FoldInTier,
     ItemKNNTier,
@@ -254,13 +254,13 @@ class RecommendationService:
     # -- the request path -------------------------------------------------
     def recommend(
         self, request: RecommendationRequest | int, *, k: int | None = None
-    ) -> RecommendationResponse:
+    ) -> ServedResponse:
         """Serve one request: a batch of one through :meth:`recommend_batch`."""
         return self.recommend_batch([request], k=k)[0]
 
     def recommend_batch(
         self, requests: Sequence[RecommendationRequest | int], *, k: int | None = None
-    ) -> list[RecommendationResponse]:
+    ) -> list[ServedResponse]:
         """Serve requests through the cascade; never raises, never returns an empty list.
 
         The batch walks the tiers together under one deadline (the
@@ -292,7 +292,7 @@ class RecommendationService:
             reason = {"degraded_mode": self._degraded_reason or "forced"}
             return [self._emergency_response(r, deadline, dict(reason)) for r in batch]
         errors: list[dict[str, str]] = [{} for _ in batch]
-        responses: list[RecommendationResponse | None] = [None] * len(batch)
+        responses: list[ServedResponse | None] = [None] * len(batch)
         pending = list(range(len(batch)))
         for tier in self.tiers:
             remaining = deadline.remaining_ms()
@@ -432,7 +432,7 @@ class RecommendationService:
 
     def _emergency_response(
         self, request: RecommendationRequest, deadline: Deadline, errors: dict
-    ) -> RecommendationResponse:
+    ) -> ServedResponse:
         """Answer from the precomputed popularity ranking, no matter what."""
         self.stats[STATIC_POPULARITY].served += 1
         self.obs.counter("serving_emergency_total").inc()
@@ -448,13 +448,13 @@ class RecommendationService:
         errors: dict,
         *,
         retrieval: str = "exact",
-    ) -> RecommendationResponse:
+    ) -> ServedResponse:
         degraded = served_by != self.tiers[0].name
         self.obs.counter("serving_served_total", tier=served_by).inc()
         if degraded:
             self.obs.counter("serving_degraded_total").inc()
         self.obs.histogram("serving_request_latency_ms").observe(deadline.elapsed_ms())
-        return RecommendationResponse(
+        return ServedResponse(
             user=request.user,
             items=self._finalize_ranking(items),
             served_by=served_by,

@@ -29,6 +29,7 @@ from repro.models.bpr import BPR
 from repro.models.climf import CLiMF
 from repro.models.gbpr import GBPR
 from repro.models.poprank import PopRank
+from repro.obs import MetricsRegistry
 from repro.resilience import (
     CheckpointConfig,
     ExperimentJournal,
@@ -332,6 +333,31 @@ class TestDivergenceGuard:
         assert "non-finite" in guard.divergences_[0]
         assert model.learning_rate_ == pytest.approx(0.05 * 0.5)
         assert len(model.loss_history_) == model.sgd.n_epochs
+
+    def test_climf_nan_rolls_back_on_the_shared_loop(self, train_matrix):
+        obs = MetricsRegistry()
+        guard = TrainingGuard(GuardConfig(policy="rollback", backoff_factor=0.5))
+        model = CLiMF(
+            n_factors=4, sgd=sgd_config(n_epochs=4), seed=11, guard=guard,
+            fault_injector=FaultInjector(nan_at_step=2),  # one tick per epoch
+            obs=obs,
+        )
+        model.fit(train_matrix)
+        assert guard.backoffs_ == 1
+        assert guard.divergences_ == ["non-finite values in factor parameters"]
+        assert np.isfinite(model.params_.user_factors).all()
+        assert np.isfinite(model.params_.item_factors).all()
+        assert np.isfinite(model.params_.item_bias).all()
+        assert model.learning_rate_ == pytest.approx(0.05 * 0.5)
+        assert obs.counter("train_rollbacks_total", model="CLiMF").value == 1
+        assert obs.counter("train_epochs_total", model="CLiMF").value == 4
+        events = [event for event in obs.events() if event["event"] in ("epoch", "rollback")]
+        assert [(event["event"], event["epoch"]) for event in events] == [
+            ("epoch", 0), ("rollback", 1), ("epoch", 1), ("epoch", 2), ("epoch", 3),
+        ]
+        losses = [event["loss"] for event in events if event["event"] == "epoch"]
+        assert losses == model.loss_history_
+        assert model.objective_history_ == [-loss for loss in losses]
 
     def test_abort_policy_raises_typed_error(self, train_matrix):
         model = clapf_map(

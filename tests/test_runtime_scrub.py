@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
 from repro.runtime import ReplicaPair, Scrubber
+from repro.runtime import scrub as scrub_module
 from repro.streaming.wal import encode_frame
-from repro.utils.atomicio import write_bytes_atomic
+from repro.utils.atomicio import write_bytes_atomic, write_npz_atomic
 
 
 def frames(*payloads: bytes) -> bytes:
@@ -197,6 +199,36 @@ class TestBlobDiscipline:
         assert not (pair.mirror / "old_ckpt.json").exists()
         # And it stays deleted on subsequent passes (manifest forgot it).
         assert scrubber.scrub_once().deleted == 0
+
+
+class TestPrunedPrimary:
+    @pytest.mark.parametrize("name", ["interactions_00007.npz", "segment_0.wal"])
+    def test_primary_pruned_after_the_scan_is_a_deletion(self, pair, monkeypatch, name):
+        primary = pair.primary / name
+        if name.endswith(".npz"):
+            write_npz_atomic(primary, {"counts": np.arange(4)})
+        else:
+            primary.write_bytes(frames(b"a", b"bb"))
+        scrubber = make_scrubber(pair)
+        scrubber.scrub_once()
+        assert (pair.mirror / name).is_file()
+
+        scan = scrub_module._scan
+
+        def scan_then_prune(directory):
+            listed = scan(directory)
+            if directory == pair.primary:
+                primary.unlink()  # the owner prunes the file the scan just listed
+            return listed
+
+        monkeypatch.setattr(scrub_module, "_scan", scan_then_prune)
+        report = scrubber.scrub_once()
+        assert report.deleted == 1
+        assert report.files_checked == 0
+        assert report.clean
+        assert not (pair.mirror / name).exists()
+        manifest = json.loads((pair.mirror / scrub_module.MANIFEST_NAME).read_text())
+        assert name not in manifest["files"]
 
 
 class TestReporting:

@@ -6,8 +6,11 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.runtime import (
+    DataDir,
     create_snapshot,
+    latest_snapshot,
     list_snapshots,
     load_manifest,
     restore_marker_present,
@@ -77,6 +80,29 @@ class TestCreate:
         # A rerun does not collide with the orphaned bundle's files.
         again = create_snapshot(layout["root"], layout["sources"])
         assert verify_snapshot(layout["root"], again.snapshot_id) == []
+
+
+class TestLatest:
+    def test_restore_latest_picks_the_newest_bundle_across_tags(self, tmp_path, capsys):
+        layout = DataDir(tmp_path)
+        layout.wal_dir.mkdir()
+        layout.state_dir.mkdir()
+        (layout.wal_dir / "segment_0.wal").write_bytes(b"wal bytes")
+        (layout.state_dir / "offset.json").write_text(json.dumps({"offset": 1}))
+        create_snapshot(layout.snapshots_dir, layout.snapshot_sources(), tag="drill")
+        (layout.state_dir / "offset.json").write_text(json.dumps({"offset": 2}))
+        create_snapshot(layout.snapshots_dir, layout.snapshot_sources(), tag="ci")
+        # Name order would pick drill-000000; creation order picks ci.
+        assert list_snapshots(layout.snapshots_dir)[-1] == "drill-000000"
+        assert latest_snapshot(layout.snapshots_dir) == "ci-000000"
+
+        capsys.readouterr()
+        assert main(["restore", "--data-dir", str(tmp_path), "--snapshot", "latest"]) == 0
+        assert capsys.readouterr().out.startswith("restore ci-000000:")
+        assert json.loads((layout.state_dir / "offset.json").read_text()) == {"offset": 2}
+
+    def test_no_bundles_means_no_latest(self, tmp_path):
+        assert latest_snapshot(tmp_path / "snapshots") is None
 
 
 class TestVerify:

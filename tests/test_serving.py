@@ -26,8 +26,8 @@ from repro.serving import (
     PersonalizedTier,
     PopularityTier,
     RecommendationRequest,
-    RecommendationResponse,
     RecommendationService,
+    ServedResponse,
     ServiceConfig,
     ThreadedExecutor,
 )
@@ -286,7 +286,7 @@ class TestCascade:
     def test_deadline_ms_left_never_negative(self, split, bpr):
         # Invariant: every response reports deadline_ms_left >= 0, even
         # when construction is handed a negative remainder directly.
-        clamped = RecommendationResponse(
+        clamped = ServedResponse(
             user=0, items=np.array([1]), served_by=STATIC_POPULARITY,
             degraded=True, deadline_ms_left=-123.4, latency_ms=173.4,
         )
