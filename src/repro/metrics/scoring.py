@@ -206,9 +206,8 @@ def topk_from_matrix(scores: np.ndarray, k: int) -> np.ndarray:
     Deterministic for *every* ``k``: the ranking is the first ``k``
     entries of the stable full sort (score descending, item id
     ascending among ties), so ``topk(k)`` is always a prefix of
-    ``topk(n_items)`` — the property that keeps the dense path, the
-    truncated emergency ranking, and the shortlist rerank in exact
-    agreement on tied scores.
+    ``topk(n_items)`` — the property that keeps the dense path and the
+    truncated emergency ranking in exact agreement on tied scores.
 
     Both ``k`` boundaries are clamped deterministically rather than fed
     to ``argpartition`` raw: ``k == 0`` returns an empty ``(B, 0)``
@@ -243,51 +242,6 @@ def topk_from_matrix(scores: np.ndarray, k: int) -> np.ndarray:
     if len(ambiguous):
         top[ambiguous] = np.argsort(-scores[ambiguous], axis=1, kind="stable")[:, :k]
     return top
-
-
-def topk_with_retrieval(
-    user_vectors: np.ndarray,
-    item_factors: np.ndarray,
-    item_bias: np.ndarray | None,
-    k: int,
-    *,
-    retriever=None,
-    exclude: Sequence[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Top-``k`` item ids per user vector, through a pluggable retriever.
-
-    The one seam where candidate retrieval plugs into the scoring
-    engine.  With ``retriever=None`` (the exact path) this is the
-    unchanged dense pipeline — ``linear_scores`` over the full catalog,
-    exclusion mask, :func:`topk_from_matrix` — and stays under the
-    ``metrics_identical`` gate.  With a
-    :class:`repro.retrieval.CandidateRetriever` the retriever proposes a
-    shortlist that is *exactly* reranked (every candidate's score bitwise
-    equal to its dense entry); the shortlist's measured recall@k is the
-    only approximation, recorded per config by
-    :func:`repro.retrieval.measure_recall`.
-
-    Returns one int64 ranking per user row (the approximate path may
-    return fewer than ``k`` ids when a shortlist runs short).
-    """
-    user_vectors = np.asarray(user_vectors)
-    if user_vectors.ndim == 1:
-        user_vectors = user_vectors[None, :]
-    if retriever is not None:
-        from repro.retrieval.base import rerank_topk
-
-        return rerank_topk(
-            user_vectors, item_factors, item_bias, k, retriever,
-            exclude=list(exclude) if exclude is not None else None,
-        )
-    scores = linear_scores(user_vectors, item_factors, item_bias)
-    scores = np.asarray(scores, dtype=np.float64)
-    if exclude is not None:
-        for row, excluded in enumerate(exclude):
-            if len(excluded):
-                scores[row, np.asarray(excluded, dtype=np.int64)] = -np.inf
-    ranked = topk_from_matrix(scores, min(k, item_factors.shape[0]))
-    return [ranked[row] for row in range(len(ranked))]
 
 
 class CandidateRanks(NamedTuple):

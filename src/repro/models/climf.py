@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.interactions import InteractionMatrix
-from repro.mf.functional import sigmoid
+from repro.mf.functional import log_sigmoid, sigmoid
 from repro.mf.sgd import RegularizationConfig, SGDConfig
 from repro.models.base import EpochCallback, EpochSGDRecommender
 from repro.obs.registry import MetricsRegistry
@@ -101,7 +101,7 @@ class CLiMF(EpochSGDRecommender):
         coeff = sigmoid(-scores) + pair_matrix.sum(axis=1) - pair_matrix.sum(axis=0)
 
         objective = float(
-            np.sum(np.log(sigmoid(scores)))
+            np.sum(log_sigmoid(scores))
             + np.sum(np.log(np.maximum(sigmoid(scores[:, None] - scores[None, :]), 1e-12))
                      * (1.0 - np.eye(len(scores))))
         )

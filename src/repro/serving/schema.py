@@ -7,7 +7,9 @@ and why": the ranked items plus the provenance fields
 :class:`~repro.serving.service.RecommendationService` returns it
 directly, and the HTTP edge (:mod:`repro.edge`) serializes it verbatim
 through :meth:`to_json_dict` — both layers read the same dataclass, so
-the in-process and wire representations cannot drift.
+the in-process and wire representations cannot drift.  The wire form
+also carries ``"retrieval": "exact"``, a constant kept for ``/v1``
+clients: every tier ranks the full catalog exactly.
 """
 
 from __future__ import annotations
@@ -45,13 +47,6 @@ class ServedResponse:
         Seconds since the live model was loaded into its slot (from the
         service's injectable clock) — degraded-but-stale serving is
         visible right in the provenance, not just in ``/v1/health``.
-    retrieval:
-        How the ranking's candidates were produced: ``"exact"`` (the
-        dense full-catalog scan — every non-primary tier, and the
-        primary tier without a retriever) or the retriever's name
-        (``"ivf"``) when a shortlist-then-exact-rerank index answered.
-        An approximate ranking is never silently passed off as the
-        full-ranking protocol.
     tier_errors:
         Why each earlier tier did not answer (breaker open, timeout,
         error message) — the debugging breadcrumb trail.
@@ -65,7 +60,6 @@ class ServedResponse:
     latency_ms: float
     model_version: str | None = None
     model_age_s: float | None = None
-    retrieval: str = "exact"
     tier_errors: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -85,13 +79,17 @@ class ServedResponse:
             "latency_ms": float(self.latency_ms),
             "model_version": None if self.model_version is None else str(self.model_version),
             "model_age_s": None if self.model_age_s is None else float(self.model_age_s),
-            "retrieval": str(self.retrieval),
+            "retrieval": "exact",
             "tier_errors": {str(k): str(v) for k, v in self.tier_errors.items()},
         }
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "ServedResponse":
-        """Rebuild from :meth:`to_json_dict` output (wire round-trip)."""
+        """Rebuild from :meth:`to_json_dict` output (wire round-trip).
+
+        The constant ``retrieval`` field is ignored, so payloads with or
+        without it parse alike.
+        """
         missing = [key for key in (
             "user", "items", "served_by", "degraded", "deadline_ms_left", "latency_ms",
         ) if key not in payload]
@@ -112,8 +110,5 @@ class ServedResponse:
                 None if payload.get("model_age_s") is None
                 else float(payload["model_age_s"])
             ),
-            # Pre-scale-ladder wire payloads had no retrieval field; every
-            # ranking back then was a dense scan.
-            retrieval=str(payload.get("retrieval", "exact")),
             tier_errors=dict(payload.get("tier_errors") or {}),
         )

@@ -171,21 +171,16 @@ class RecommendationService:
         version: str = "initial",
         obs: MetricsRegistry | None = None,
         reranker: Any = None,
-        retriever: Any = None,
     ) -> "RecommendationService":
         """Assemble the standard four-tier cascade around ``model``.
 
         ``knn`` may be a pre-fitted :class:`ItemKNN`; with ``fit_knn``
         (the default) one is fitted here when not supplied.  Pass
         ``fit_knn=False`` to skip that tier (large catalogs where the
-        item-item matrix is not worth building).  ``retriever`` plugs a
-        :class:`~repro.retrieval.base.CandidateRetriever` into the
-        primary tier (shortlist-then-exact-rerank; provenance says so).
+        item-item matrix is not worth building).
         """
         slot = ModelSlot(model, version=version, chaos=chaos, clock=clock)
-        tiers: list[ServingTier] = [
-            PersonalizedTier(slot, train, chaos=chaos, retriever=retriever)
-        ]
+        tiers: list[ServingTier] = [PersonalizedTier(slot, train, chaos=chaos)]
         if getattr(model, "params_", None) is not None:
             tiers.append(FoldInTier(slot, train, chaos=chaos))
         if knn is None and fit_knn:
@@ -325,8 +320,7 @@ class RecommendationService:
                     continue
                 self.obs.histogram("serving_tier_latency_ms", tier=tier.name).observe(latency_ms)
                 responses[index] = self._respond(
-                    batch[index], outcome, tier.name, deadline, errors[index],
-                    retrieval=str(getattr(tier, "retrieval_name", "exact")),
+                    batch[index], outcome, tier.name, deadline, errors[index]
                 )
             pending = [index for index in pending if responses[index] is None]
             if not pending:
@@ -446,8 +440,6 @@ class RecommendationService:
         served_by: str,
         deadline: Deadline,
         errors: dict,
-        *,
-        retrieval: str = "exact",
     ) -> ServedResponse:
         degraded = served_by != self.tiers[0].name
         self.obs.counter("serving_served_total", tier=served_by).inc()
@@ -463,7 +455,6 @@ class RecommendationService:
             latency_ms=deadline.elapsed_ms(),
             model_version=self.slot.version if self.slot is not None else None,
             model_age_s=self._model_age_s(),
-            retrieval=retrieval,
             tier_errors=errors,
         )
 

@@ -165,43 +165,18 @@ class PersonalizedTier(ServingTier):
     ``source`` is either a fitted :class:`Recommender` or a
     :class:`~repro.serving.reload.ModelSlot`; reading through the slot
     on every request is what makes hot reload take effect mid-stream.
-
-    With a ``retriever`` (see :mod:`repro.retrieval`) the tier skips
-    the dense catalog scan: it shortlists candidates from the user's
-    factor vector and exactly reranks them, stamping the retriever's
-    name into the response's ``retrieval`` provenance.  Without one the
-    dense path is byte-for-byte unchanged and provenance stays
-    ``"exact"``.  Chaos score-poisoning hooks only the dense path (it
-    poisons a full score vector, which the retrieval path never
-    materializes), so chaos drills configure the tier without a
-    retriever.
     """
 
     name = PERSONALIZED
 
-    def __init__(
-        self,
-        source: Any,
-        train: InteractionMatrix,
-        *,
-        chaos: Any = None,
-        retriever: Any = None,
-    ):
+    def __init__(self, source: Any, train: InteractionMatrix, *, chaos: Any = None):
         self.source = source
         self.train = train
         self.chaos = chaos
-        self.retriever = retriever
 
     def current_model(self) -> Recommender:
         get = getattr(self.source, "get", None)
         return get() if callable(get) else self.source
-
-    @property
-    def retrieval_name(self) -> str:
-        """Provenance tag for responses this tier serves."""
-        if self.retriever is None:
-            return "exact"
-        return str(getattr(self.retriever, "name", "retriever"))
 
     # -- shard topology (per-shard breakers) ---------------------------
     def shard_count(self) -> int:
@@ -214,51 +189,6 @@ class PersonalizedTier(ServingTier):
         if not callable(shard_of):
             return None
         return shard_of(request.user)
-
-    # -- retrieval path ------------------------------------------------
-    def _factor_views(self, model: Recommender):
-        """(user-row getter, item_factors, item_bias) for the rerank path."""
-        store = getattr(model, "store", None)
-        if store is not None:
-            return store.user_rows, store.item_factors, store.item_bias
-        params = getattr(model, "params_", None)
-        if params is None or len(params.user_factors) == 0:
-            raise TierError(
-                f"{self.name}: current model exposes no user factors for retrieval"
-            )
-        return (
-            lambda users: params.user_factors[np.asarray(users, dtype=np.int64)],
-            params.item_factors,
-            params.item_bias,
-        )
-
-    def _serve_retrieval(
-        self, model: Recommender, requests: list[RecommendationRequest]
-    ) -> list[np.ndarray | TierError]:
-        from repro.retrieval.base import rerank_topk
-
-        user_rows, item_factors, item_bias = self._factor_views(model)
-        users = np.asarray([request.user for request in requests], dtype=np.int64)
-        vectors = np.asarray(user_rows(users))
-        exclude = [
-            self._train_history(request, self.train)
-            if request.exclude_observed
-            else np.zeros(0, dtype=np.int64)
-            for request in requests
-        ]
-        k = max(request.k for request in requests)
-        rankings = rerank_topk(
-            vectors, item_factors, item_bias, min(k, self.train.n_items),
-            self.retriever, exclude=exclude,
-        )
-        return [
-            ranking[: request.k]
-            if len(ranking)
-            else TierError(
-                f"{self.name}: {self.retrieval_name} shortlist empty for user {request.user}"
-            )
-            for request, ranking in zip(requests, rankings)
-        ]
 
     def skip_reason(self, request: RecommendationRequest) -> str | None:
         """Out-of-range and cold users have no personalized signal.
@@ -313,8 +243,6 @@ class PersonalizedTier(ServingTier):
     def _rank_batch(
         self, model: Recommender, requests: list[RecommendationRequest]
     ) -> list[np.ndarray | TierError]:
-        if self.retriever is not None and self.chaos is None:
-            return self._serve_retrieval(model, requests)
         users = np.asarray([request.user for request in requests], dtype=np.int64)
         scores = np.asarray(model.predict_batch(users))
         if self.chaos is not None:

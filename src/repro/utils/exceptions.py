@@ -75,10 +75,6 @@ class ShardError(StoreError):
         self.shard = shard
 
 
-class RetrievalError(ReproError, RuntimeError):
-    """A candidate-retrieval index could not be built or queried."""
-
-
 class DeadlineExceeded(ServingError):
     """A tier call overran its per-request time budget and was cut off.
 

@@ -142,9 +142,9 @@ class TestTopKBoundaries:
     ``k >= n_items`` used to fall through to a raw argpartition whose
     survivor order is unspecified for tied scores; the boundary now
     takes one stable full sort, so ties break by item id identically on
-    every path (``top_k_items``, ``topk_from_matrix``, the rerank
-    path).  ``k == 0`` / empty catalogs return empty rankings instead
-    of partitioning past the end.
+    every path (``top_k_items``, ``topk_from_matrix``).  ``k == 0`` /
+    empty catalogs return empty rankings instead of partitioning past
+    the end.
     """
 
     def test_matrix_k_zero_returns_empty(self):

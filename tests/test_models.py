@@ -1,5 +1,7 @@
 """Behavioral tests for the baseline models."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,22 @@ class TestCLiMF:
         model = CLiMF(n_factors=4, sgd=SGDConfig(n_epochs=2), seed=0)
         model.fit(learnable_split.train)
         assert model.predict_user(1).shape == (learnable_split.n_items,)
+
+    def test_objective_finite_for_very_negative_scores(self, learnable_split):
+        """ln sigma(f) stays finite where sigma(f) underflows to 0."""
+        model = CLiMF(n_factors=4, sgd=SGDConfig(n_epochs=1), seed=0)
+        train = learnable_split.train
+        model.fit(train)
+        user = next(user for user, _ in train.iter_users())
+        positives = train.positives(user)
+        model.params_.item_bias[positives] = -1000.0
+        scores = (
+            model.params_.item_factors[positives] @ model.params_.user_factors[user]
+            + model.params_.item_bias[positives]
+        )
+        assert scores.max() < -800.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            objective = model._user_step(user, positives)
+        assert np.isfinite(objective)
+        assert objective <= -800.0 * len(positives)
