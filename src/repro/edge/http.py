@@ -23,7 +23,7 @@ Design points:
 * **coalescing** — single requests park in a
   :class:`~repro.edge.coalesce.MicroBatcher` and flush into one
   ``recommend_batch`` call (flush on max-batch or max-wait on the
-  injectable clock), so concurrent singles cost one einsum, not N;
+  injectable clock), so concurrent singles share one scoring pass, not N;
 * **deadline propagation** — a request's ``deadline_ms`` (capped by
   :attr:`EdgeConfig.max_deadline_ms`) flows straight into the service's
   per-request :class:`~repro.serving.deadline.Deadline` budget;

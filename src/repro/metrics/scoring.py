@@ -11,13 +11,14 @@ and fold-in scoring.  Everything here obeys one contract:
 
 That property is what lets the evaluator shard users into chunks (and
 across threads) while reproducing the sequential per-user protocol
-*exactly*, not approximately.  It rules out straight GEMM for the
-``U V^T`` score matrix: BLAS blocks the reduction differently depending
-on the number of rows, so ``(U[users] @ V.T)[0]`` need not equal
-``U[users[0]] @ V.T`` in the last bits.  ``np.einsum`` with
-``optimize=False`` runs a fixed-order reduction per output element and
-is batch-size invariant, which is why :func:`linear_scores` is the one
-factor-scoring kernel in the library.
+*exactly*, not approximately.  It rules out a straight GEMM over the
+whole batch for the ``U V^T`` score matrix: BLAS picks its blocking
+and micro-kernels from the number of rows, so ``(U[users] @ V.T)[0]``
+need not equal ``U[users[0]] @ V.T`` in the last bits.
+:func:`linear_scores` — the one factor-scoring kernel in the library —
+therefore never lets BLAS see the batch size: it zero-pads the rows to
+a multiple of :data:`BLOCK` and runs one GEMM per fixed ``BLOCK``-row
+block, so every call BLAS makes has the same shape whatever the batch.
 """
 
 from __future__ import annotations
@@ -46,6 +47,19 @@ LEGACY_CALLABLE_MESSAGE = (
 # ----------------------------------------------------------------------
 # Scoring kernels
 # ----------------------------------------------------------------------
+BLOCK = 8
+"""Rows per GEMM in :func:`linear_scores`.
+
+A fixed block shape makes BLAS run the same code for every block, but
+a row's bits may still depend on its *position* inside the block: with
+16- or 32-row float64 blocks, OpenBLAS (SkylakeX kernels) computes rows
+12–15 of a block differently in the tail columns, and at 3500 x 20 the
+result changes with the BLAS thread count.  Eight rows is invariant in
+every shape, offset, dtype and thread count that
+``tests/test_scoring_kernel.py`` tries; that test fails at 16.
+"""
+
+
 def linear_scores(
     user_vectors: np.ndarray,
     item_factors: np.ndarray,
@@ -63,15 +77,26 @@ def linear_scores(
         Optional ``(n_items,)`` bias added to every row.
 
     Returns the ``(B, n_items)`` score matrix (``(n_items,)`` for a
-    single vector).  Uses ``einsum(optimize=False)`` rather than GEMM so
+    single vector) in ``np.result_type(user_vectors, item_factors)``.
+    The rows are zero-padded to a multiple of :data:`BLOCK` and scored
+    one ``BLOCK``-row GEMM at a time against a C-contiguous ``V``, so
     each output row is bitwise independent of the batch it was computed
-    in — see the module docstring.
+    in, of its position in that batch and of ``V``'s memory layout —
+    see the module docstring.
     """
     user_vectors = np.asarray(user_vectors)
     single = user_vectors.ndim == 1
     if single:
         user_vectors = user_vectors[None, :]
-    scores = np.einsum("bd,id->bi", user_vectors, item_factors, optimize=False)
+    dtype = np.result_type(user_vectors, item_factors)
+    items_t = np.ascontiguousarray(item_factors, dtype=dtype).T
+    n_rows = len(user_vectors)
+    padded = np.zeros((-(-n_rows // BLOCK) * BLOCK, user_vectors.shape[1]), dtype=dtype)
+    padded[:n_rows] = user_vectors
+    scores = np.empty((len(padded), items_t.shape[1]), dtype=dtype)
+    for start in range(0, len(padded), BLOCK):
+        np.matmul(padded[start : start + BLOCK], items_t, out=scores[start : start + BLOCK])
+    scores = scores[:n_rows]
     if item_bias is not None:
         scores += item_bias
     return scores[0] if single else scores
@@ -149,10 +174,11 @@ def map_chunks(fn: Callable, chunks: Sequence, n_jobs: int | None = None) -> lis
     """``[fn(c) for c in chunks]``, optionally on a thread pool.
 
     Results come back in input order.  Threads (not processes) because
-    the heavy work — einsum, argpartition, sparse matmul — runs in C
-    with the GIL released, and the model parameters are shared read-only
-    without pickling.  Each chunk is independent and every kernel is
-    chunk-invariant, so the result is identical for any ``n_jobs``.
+    the heavy work — the block GEMMs, argpartition, sparse matmul — runs
+    in C with the GIL released, and the model parameters are shared
+    read-only without pickling.  Each chunk is independent and every
+    kernel is chunk-invariant, so the result is identical for any
+    ``n_jobs``.
     """
     n_jobs = resolve_n_jobs(n_jobs)
     if n_jobs == 1 or len(chunks) <= 1:

@@ -81,7 +81,7 @@ class FactorParams:
     def predict_batch(self, users) -> np.ndarray:
         """Scores of many users, shape ``(len(users), n_items)``.
 
-        Runs the chunk-invariant ``einsum`` kernel, so each row is
+        Runs the chunk-invariant fixed-block GEMM kernel, so each row is
         bitwise identical to :meth:`predict_user` for that user no
         matter how users are batched — the contract the chunked
         evaluator depends on.
@@ -97,10 +97,6 @@ class FactorParams:
         items = np.asarray(items, dtype=np.int64)
         dots = np.einsum("td,td->t", self.user_factors[users], self.item_factors[items])
         return dots + self.item_bias[items]
-
-    def score_matrix(self) -> np.ndarray:
-        """Full ``(n_users, n_items)`` score matrix (small datasets only)."""
-        return self.user_factors @ self.item_factors.T + self.item_bias[None, :]
 
     def copy(self) -> "FactorParams":
         """Deep copy (used by convergence traces and early stopping)."""

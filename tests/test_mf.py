@@ -87,12 +87,6 @@ class TestFactorParams:
         expected = [params.predict_user(u)[i] for u, i in zip(users, items)]
         assert np.allclose(params.predict_pairs(users, items), expected)
 
-    def test_score_matrix_consistent(self):
-        params = FactorParams.init(3, 4, 2, seed=1)
-        matrix = params.score_matrix()
-        for user in range(3):
-            assert np.allclose(matrix[user], params.predict_user(user))
-
     def test_copy_is_deep(self):
         params = FactorParams.init(3, 4, 2, seed=1)
         clone = params.copy()
