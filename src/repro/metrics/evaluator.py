@@ -9,16 +9,21 @@ relevant items.
 Evaluation runs on the batched scoring engine
 (:mod:`repro.metrics.scoring`): users are processed in chunks through
 ``predict_batch``.  Per chunk, relevant ``(row, item)`` pairs are read
-straight from the CSR arrays and the exclusion mask is built once; top-k
-comes from ``topk_from_matrix``, and NDCG looks up each row's hit
-pattern in a per-chunk DCG table.  Every score row is then sorted once:
-two ``searchsorted`` calls per row against it give each relevant item's
-candidate rank (MAP, MRR) and its below/tied counts (AUC, with the
-positive-vs-positive counts from one chunk-wide integer sort).  Every
-kernel is chunk-invariant, so the chunked (and ``n_jobs``-threaded)
-path reproduces the sequential per-user protocol bitwise — asserted by
-``evaluate_sequential``, the original per-user loop kept as the
-reference implementation.
+straight from the CSR arrays and the exclusion mask is built once.
+Every metric then comes from one row sort of the masked chunk in
+``candidate_ranks``: one vectorised search over all relevant entries
+gives each its candidate rank (MAP, MRR), its below/tied counts (AUC,
+with the positive-vs-positive counts from one chunk-wide integer sort)
+and its position in the masked ranking.  A position within ``max(ks)``
+is a top-k hit, so no second top-k pass runs; NDCG looks up each row's
+hit pattern in a per-chunk DCG table, and AP takes one mean per
+distinct relevant count.  ``topk_from_matrix`` stays the one top-k
+kernel for serving, ``top_k_items``, the sequential reference and
+``validation_ndcg``; its prefix is the same stable order the positions
+index.  Every kernel is chunk-invariant, so the chunked (and
+``n_jobs``-threaded) path reproduces the sequential per-user protocol
+bitwise — asserted by ``evaluate_sequential``, the original per-user
+loop kept as the reference implementation.
 """
 
 from __future__ import annotations
@@ -306,17 +311,19 @@ class Evaluator:
             excluded = ~np.stack([restricted[int(user)] for user in chunk_users])
         n_excluded = np.count_nonzero(excluded, axis=1)
         n_rows = len(chunk_users)
-        # A new array: predict_batch may hand back model-owned memory.
-        masked = np.where(excluded, -np.inf, scores)
+        # Every metric comes from the one row sort in candidate_ranks.
+        counts = scoring.candidate_ranks(scores, rows, items, excluded, n_excluded)
 
-        ranked = scoring.topk_from_matrix(masked, max(self.ks))  # (B, width)
-        hit_at = np.isin(
-            np.arange(n_rows)[:, None] * n_items + ranked, rows * n_items + items
-        )
+        # Top-k hits: a relevant entry at masked-ranking position p sets
+        # hit_at[row, p - 1] — the flags the stable top-k prefix yields.
+        width = min(max(self.ks), n_items)
+        top = counts.positions <= width
+        hit_at = np.zeros((n_rows, width), dtype=bool)
+        hit_at[rows[top], counts.positions[top] - 1] = True
         cum_hits = np.cumsum(hit_at, axis=1)
         out: dict[str, np.ndarray] = {}
         for k in self.ks:
-            hits = cum_hits[:, min(k, ranked.shape[1]) - 1]
+            hits = cum_hits[:, min(k, width) - 1]
             precision = hits / k
             recall = hits / n_relevant
             denominator = precision + recall
@@ -329,8 +336,6 @@ class Evaluator:
             out[f"1-call@{k}"] = np.where(hits > 0, 1.0, 0.0)
             out[f"ndcg@{k}"] = ndcg_from_hits(hit_at, n_relevant, k)
 
-        # Rank-biased metrics, all from the one row sort in candidate_ranks.
-        counts = scoring.candidate_ranks(masked, rows, items, excluded, n_excluded)
         starts = np.cumsum(n_relevant) - n_relevant
         first = np.repeat(starts, n_relevant)
         # Integer keys row * (n_items + 1) + count keep every row's
@@ -338,11 +343,15 @@ class Evaluator:
         offsets = rows * (n_items + 1)
         ranks_sorted = np.sort(counts.ranks + offsets) - offsets
         precisions = (np.arange(1, len(rows) + 1) - first) / ranks_sorted
-        # AP keeps numpy's per-row mean: a segmented sum would add in a
-        # different order than the sequential path and differ in the last bit.
-        ap = np.array(
-            [precisions[start:stop].mean() for start, stop in zip(starts, starts + n_relevant)]
-        )
+        # AP takes one (rows, count) mean per distinct relevant count: each
+        # row keeps numpy's pairwise sum over its own count, the sum the
+        # sequential path's 1-D mean runs, so the bits match.
+        ap = np.empty(n_rows)
+        by_count = np.argsort(n_relevant, kind="stable")
+        bounds = np.flatnonzero(np.diff(n_relevant[by_count])) + 1
+        for members in np.split(by_count, bounds):
+            index = starts[members, None] + np.arange(n_relevant[members[0]])
+            ap[members] = precisions[index].mean(axis=1)
         # AUC's positive-vs-positive counts: positive j scores below
         # positive i iff below_j + tied_j <= below_i, and ties it iff
         # below_j == below_i.

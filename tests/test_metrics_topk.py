@@ -200,3 +200,46 @@ class TestTopKBoundaries:
         first = topk_from_matrix(scores, 8)
         for _ in range(3):
             assert np.array_equal(topk_from_matrix(scores, 8), first)
+
+
+class TestTopKNanBoundary:
+    """A NaN k-th score sends the row to the stable fallback.
+
+    ``scores >= NaN`` is all False, so the tie count alone never flagged
+    these rows and argpartition's arbitrary pick among the NaNs leaked
+    out.  Every case is checked against the stable full-sort prefix.
+    """
+
+    @staticmethod
+    def _assert_stable_prefix(scores, ks):
+        from repro.metrics.scoring import topk_from_matrix
+
+        expected = np.argsort(-scores, axis=1, kind="stable")
+        for k in ks:
+            assert np.array_equal(topk_from_matrix(scores, k), expected[:, :k]), k
+
+    def test_all_nan_row_with_neg_inf_items(self):
+        scores = np.full((1, 40), np.nan)
+        scores[0, [3, 7, 20]] = -np.inf
+        self._assert_stable_prefix(scores, [1, 3, 4, 20, 39])
+
+    def test_all_nan_rows(self):
+        self._assert_stable_prefix(np.full((3, 50), np.nan), [1, 7, 25, 49])
+
+    def test_nan_straddles_k(self):
+        rng = np.random.default_rng(0)
+        scores = rng.standard_normal((6, 60))
+        for row in range(6):
+            scores[row, rng.choice(60, 10 + 7 * row, replace=False)] = np.nan
+        # k below, at and above each row's count of non-NaN scores.
+        self._assert_stable_prefix(scores, [5, 10, 18, 25, 32, 43, 50, 55])
+
+    def test_nan_mixed_with_infinities(self):
+        rng = np.random.default_rng(1)
+        scores = rng.standard_normal((5, 80)).round(1)
+        scores[:, rng.choice(80, 20, replace=False)] = np.nan
+        scores[:, rng.choice(80, 8, replace=False)] = np.inf
+        scores[:, rng.choice(80, 15, replace=False)] = -np.inf
+        scores[2, :40] = -np.inf
+        scores[3, 40:] = np.nan
+        self._assert_stable_prefix(scores, [1, 8, 9, 30, 45, 60, 70, 79])

@@ -475,6 +475,70 @@ class TestEngineKernels:
         assert orders.dtype == expected.dtype
         assert np.array_equal(orders, expected)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_segmented_searchsorted_matches_per_row(self, side):
+        rng = np.random.default_rng(2)
+        table = rng.integers(-3, 4, size=(9, 37)).astype(float)  # heavy ties
+        table[1, :12] = [0.0, -0.0] * 6  # signed zeros compare equal
+        table[2, [4, 9]] = [np.inf, -np.inf]
+        table[3, rng.choice(37, 20, replace=False)] = -np.inf
+        table[4, rng.choice(37, 6, replace=False)] = np.nan
+        table[5] = np.nan
+        table[6] = 0.0
+        table[7, ::3] = np.inf
+        sorted_rows = np.sort(table, axis=1)
+        probes = np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, -3.0, 0.5, 3.0, 2.0, -7.0])
+        rows = np.repeat(np.arange(len(table)), len(probes) + 6)
+        values = np.concatenate(
+            [np.concatenate([probes, rng.choice(table[row], 6)]) for row in range(len(table))]
+        )
+        got = scoring.segmented_searchsorted(sorted_rows, rows, values, side=side)
+        expected = np.array(
+            [np.searchsorted(sorted_rows[r], v, side=side) for r, v in zip(rows, values)]
+        )
+        assert np.array_equal(got, expected)
+
+    def test_segmented_searchsorted_row_lengths(self):
+        """Every row length around a power of two takes its bit_length steps."""
+        rng = np.random.default_rng(3)
+        for n in [1, 2, 3, 7, 8, 9, 15, 16, 17, 64, 65]:
+            sorted_rows = np.sort(rng.integers(0, 5, size=(3, n)).astype(float), axis=1)
+            rows = np.repeat(np.arange(3), 7)
+            values = np.tile(np.array([-1.0, 0.0, 1.0, 2.5, 4.0, 5.0, np.nan]), 3)
+            for side in ("left", "right"):
+                got = scoring.segmented_searchsorted(sorted_rows, rows, values, side=side)
+                expected = [
+                    np.searchsorted(sorted_rows[r], v, side=side) for r, v in zip(rows, values)
+                ]
+                assert np.array_equal(got, expected), (n, side)
+
+    @pytest.mark.parametrize("mode", ["test", "validation"])
+    def test_hits_from_positions_match_topk(self, adversarial, mode):
+        """Rank-derived top-k hits == isin(topk_from_matrix(masked, k))."""
+        split, table = adversarial
+        users = np.arange(table.shape[0])
+        excluded = scoring.positives_mask(split.train, users)
+        relevant_source = split.test
+        if mode == "validation":
+            relevant_source = split.validation
+        else:
+            scoring.positives_mask(split.validation, users, out=excluded)
+        rows, items = scoring.positives_pairs(relevant_source, users)
+        candidate = ~excluded[rows, items]
+        rows, items = rows[candidate], items[candidate]
+        counts = scoring.candidate_ranks(
+            table, rows, items, excluded, np.count_nonzero(excluded, axis=1)
+        )
+        masked = np.where(excluded, -np.inf, table)
+        for k in (1, 5, 10, 20, 400):
+            hit_at = np.zeros((len(users), k), dtype=bool)
+            top = counts.positions <= k
+            hit_at[rows[top], counts.positions[top] - 1] = True
+            ranked = scoring.topk_from_matrix(masked, k)
+            n_items = table.shape[1]
+            expected = np.isin(users[:, None] * n_items + ranked, rows * n_items + items)
+            assert np.array_equal(hit_at, expected), k
+
     def test_as_batch_scorer_rejects_non_models(self):
         with pytest.raises(ConfigError, match="not evaluable"):
             scoring.as_batch_scorer(object())
