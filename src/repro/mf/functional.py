@@ -5,17 +5,26 @@ from __future__ import annotations
 import numpy as np
 
 
+def sigmoid_and_log_sigmoid(x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigma(x), ln sigma(x))`` elementwise, both from one ``exp(-|x|)``.
+
+    With ``e = exp(-|x|)``, ``sigma(x)`` is ``1 / (1 + e)`` where ``x >= 0``
+    and ``e / (1 + e)`` elsewhere, and ``ln sigma(x) = min(x, 0) -
+    log1p(e)``: no branch overflows.  ``-|x|`` is taken as ``min(x, -x)``,
+    which keeps a NaN's sign, so both results equal the sign-masked
+    two-``exp`` formulas bit for bit, at ``±0``, ``±inf`` and NaN too.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), np.minimum(x, 0.0) - np.log1p(e)
+
+
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     """Stable elementwise sigmoid ``1 / (1 + exp(-x))``.
 
-    Avoids overflow for large negative inputs by branching on the sign.
+    See :func:`sigmoid_and_log_sigmoid`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
+    out = sigmoid_and_log_sigmoid(x)[0]
     if out.ndim == 0:
         return float(out)
     return out
@@ -24,10 +33,9 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
 def log_sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     """Stable elementwise ``ln sigma(x) = -log(1 + exp(-x))``.
 
-    Uses the identity ``ln sigma(x) = min(x, 0) - log1p(exp(-|x|))``.
+    See :func:`sigmoid_and_log_sigmoid`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+    out = sigmoid_and_log_sigmoid(x)[1]
     if out.ndim == 0:
         return float(out)
     return out

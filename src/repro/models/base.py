@@ -33,7 +33,7 @@ import numpy as np
 from repro.data.interactions import InteractionMatrix
 from repro.metrics import scoring
 from repro.metrics.evaluator import ndcg_from_hits
-from repro.mf.functional import log_sigmoid, scatter_add_rows, sigmoid
+from repro.mf.functional import scatter_add_rows, sigmoid_and_log_sigmoid
 from repro.mf.params import FactorParams
 from repro.mf.sgd import EarlyStoppingConfig, RegularizationConfig, SGDConfig
 from repro.obs.registry import MetricsRegistry, as_registry
@@ -609,7 +609,12 @@ class TupleSGDRecommender(EpochSGDRecommender):
         return epoch_loss / steps, None
 
     def _sgd_step(self, batch: TupleBatch) -> float:
-        """One vectorized ascent step on the batch; returns mean -ln sigma(R)."""
+        """One vectorized ascent step on the batch; returns mean -ln sigma(R).
+
+        The updates are formed in place on the step's own gathered copies
+        of the rows, with the operations of ``lr * (residual * grad -
+        alpha * row)`` in that order, so working in place changes no bit.
+        """
         params = self.params_
         users = batch.users
         items, coefficients = self._tuple_terms(batch)
@@ -618,29 +623,37 @@ class TupleSGDRecommender(EpochSGDRecommender):
 
         user_vecs = params.user_factors[users]  # (B, d)
         item_vecs = params.item_factors[items]  # (B, S, d)
-        scores = np.einsum("bd,bsd->bs", user_vecs, item_vecs) + params.item_bias[items]
+        item_bias = params.item_bias[items]  # (B, S)
+        scores = np.einsum("bd,bsd->bs", user_vecs, item_vecs) + item_bias
         margin = np.einsum("bs,bs->b", coefficients, scores)
-        residual = 1.0 - sigmoid(margin)  # (B,)
+        probability, log_probability = sigmoid_and_log_sigmoid(margin)
+        residual = 1.0 - probability  # (B,)
 
         lr = self.learning_rate_ if self.learning_rate_ is not None else self.sgd.learning_rate
         guard = self._active_guard
-        # User factors: dR/dU_u = sum_s c_s V_s.
-        user_grad = np.einsum("bs,bsd->bd", coefficients, item_vecs)
-        user_update = lr * (residual[:, None] * user_grad - self.reg.alpha_u * user_vecs)
+        reg = self.reg
         # Item factors and biases: dR/dV_s = c_s U_u, dR/db_s = c_s.
         weight = residual[:, None] * coefficients  # (B, S)
-        flat_items = items.ravel()
-        item_grad = weight[:, :, None] * user_vecs[:, None, :]  # (B, S, d)
-        item_update = lr * (
-            item_grad.reshape(-1, params.n_factors)
-            - self.reg.alpha_v * item_vecs.reshape(-1, params.n_factors)
-        )
-        bias_update = lr * (weight.ravel() - self.reg.beta_v * params.item_bias[flat_items])
+        item_update = weight[:, :, None] * user_vecs[:, None, :]  # (B, S, d)
+        # User factors: dR/dU_u = sum_s c_s V_s.
+        user_update = np.einsum("bs,bsd->bd", coefficients, item_vecs)
+        user_update *= residual[:, None]
+        user_vecs *= reg.alpha_u
+        user_update -= user_vecs
+        user_update *= lr
+        item_vecs *= reg.alpha_v
+        item_update -= item_vecs
+        item_update *= lr
+        item_update = item_update.reshape(-1, params.n_factors)
+        item_bias *= reg.beta_v
+        bias_update = np.subtract(weight, item_bias, out=item_bias).ravel()
+        bias_update *= lr
         if guard is not None:
             user_update = guard.clip_rows(user_update)
             item_update = guard.clip_rows(item_update)
             bias_update = guard.clip_rows(bias_update)
+        flat_items = items.ravel()
         scatter_add_rows(params.user_factors, users, user_update)
         scatter_add_rows(params.item_factors, flat_items, item_update)
         scatter_add_rows(params.item_bias, flat_items, bias_update)
-        return float(np.mean(-log_sigmoid(margin)))
+        return float(np.mean(-log_probability))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.interactions import InteractionMatrix
-from repro.mf.functional import log_sigmoid, scatter_add_rows, sigmoid
+from repro.mf.functional import scatter_add_rows, sigmoid_and_log_sigmoid
 from repro.models.base import TupleSGDRecommender
 from repro.sampling.base import TupleBatch
 from repro.utils.exceptions import ConfigError
@@ -97,7 +97,8 @@ class GBPR(TupleSGDRecommender):
         f_group = np.einsum("bgd,bd->b", group_vecs, item_i) / self.group_size
         f_group = f_group + params.item_bias[pos_i]
         margin = self.rho * f_group + (1.0 - self.rho) * f_ui - f_uj
-        residual = 1.0 - sigmoid(margin)
+        probability, log_probability = sigmoid_and_log_sigmoid(margin)
+        residual = 1.0 - probability
 
         lr = self.learning_rate_ if self.learning_rate_ is not None else self.sgd.learning_rate
         guard = self._active_guard
@@ -140,4 +141,4 @@ class GBPR(TupleSGDRecommender):
         if guard is not None:
             bias_j_update = guard.clip_rows(bias_j_update)
         scatter_add_rows(params.item_bias, neg_j, bias_j_update)
-        return float(np.mean(-log_sigmoid(margin)))
+        return float(np.mean(-log_probability))

@@ -16,19 +16,20 @@ lists are rebuilt every ``log(m)`` steps, as in AoBPR/DNS, so DSS runs
 in a comparable time to uniform sampling.
 
 Each refresh rebuilds two caches, each from its own copy of the item
-factors at that step: the global per-factor item lists and every user's
-positives in per-factor order (one integer sort of ``user * m + rank``
-keys over all ``(d, nnz)`` training pairs).  Both read the one row-wise
-argsort of the ``(d, m)`` factor matrix that the first rebuild of the
-step makes (:class:`~repro.sampling.geometric.FactorOrders`).  On the
-ML1M profile at scale 5 (3,500 items, about 22k training pairs, d=20) a
-refresh of both takes about 5.5 ms on one core of a 2-vCPU host, against
-12 ms with a sort per cache and about 80 ms for the per-factor
-``np.lexsort`` before that.  The geometric draws reuse constants
-computed at bind time: one set for the item list, one per user for the
-positive lists.  The snapshots and the steps since the last refresh are
-part of :meth:`~repro.sampling.base.Sampler.state_dict`, so a
-checkpointed run resumes bitwise even between two refreshes.
+factors at that step: the global per-factor item lists and the per-factor
+rank table of every item.  Both read the one row-wise argsort of the
+``(d, m)`` factor matrix that the first rebuild of the step makes
+(:class:`~repro.sampling.geometric.FactorOrders`).  The ``k`` draw then
+ranks only the drawn users' positives with one integer sort per step:
+about ``B * E[L^2] / E[L]`` keys for ``B`` draws over users with ``L``
+positives, against ``d * nnz`` for sorting every user's lists at each
+refresh (about 3,000 against 442,000 keys on ML1M at scale 5; the
+:mod:`~repro.sampling.geometric` docstring has the timings).  The
+geometric draws reuse constants computed at bind time: one set for the
+item list, one per user for the positive lists.  The snapshots and the
+steps since the last refresh are part of
+:meth:`~repro.sampling.base.Sampler.state_dict`, so a checkpointed run
+resumes bitwise even between two refreshes.
 """
 
 from __future__ import annotations

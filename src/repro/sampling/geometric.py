@@ -10,13 +10,18 @@ paper — the ranking lists are rebuilt only every ``log(m)``-ish steps.
 A rebuild costs one row-wise sort of the ``(d, m)`` factor matrix
 (:func:`~repro.metrics.scoring.ranking_orders_both_ways`, a SIMD argsort
 whose descending lists are the ascending ones reversed, with a stable
-re-sort of only the rows that hold ties or NaN) plus, for DSS's per-user
-positive lists, one integer sort of ``(d, nnz)`` keys.  DSS's two caches
-share that one factor sort through :class:`FactorOrders`.  On the ML1M
-profile at scale 5 (3,500 items, about 22k training pairs, d=20) a DSS
-refresh of both caches takes about 5.5 ms on one core of a 2-vCPU host:
-12 ms when each cache sorted the factors itself and decoded all its keys,
-and about 80 ms with the per-factor ``np.lexsort`` before that.
+re-sort of only the rows that hold ties or NaN), shared by DSS's two
+caches through :class:`FactorOrders`, plus the ``(d, m)`` rank table
+that inverts the ascending orders.  DSS's per-user positive lists are
+not sorted at a rebuild: each draw ranks only its user's positives,
+about ``B * E[L^2] / E[L]`` keys per step of ``B`` draws over users with
+``L`` positives, where sorting every user's lists takes ``d * nnz`` keys
+per refresh.  On the
+ML1M profile at scale 5 (3,000 users, 3,500 items, 22,100 training
+pairs, d=20, ``E[L^2] / E[L]`` about 11.7) that is about 3,000 keys and
+75 us per step against 442,000 keys per refresh, and a refresh of both
+caches takes 2.3-3.5 ms on a 2-vCPU host, against 6.7-9.2 ms with a
+per-refresh key sort of every user's lists, measured alternately.
 """
 
 from __future__ import annotations
@@ -60,8 +65,9 @@ class TruncatedGeometric:
         log_q, mass, last = self._log_q, self._mass, self._last
         if lists is not None:
             log_q, mass, last = log_q[lists], mass[lists], last[lists]
+        # floor of a non-negative quotient: only the upper end needs a bound.
         ranks = np.floor(np.log1p(-u * mass) / log_q).astype(np.int64)
-        return np.clip(ranks, 0, last)
+        return np.minimum(ranks, last)
 
 
 def truncated_geometric(
@@ -219,25 +225,24 @@ class FactorRankingCache(_RankingCache):
 
 
 class UserPositiveRankingCache(_RankingCache):
-    """Each user's observed items sorted by each latent factor.
+    """Each user's observed items ranked by each latent factor.
 
-    Backs DSS's *positive* draw: for factor ``q``, user ``u``'s positives
-    are kept in ascending ``V[:, q]`` order (ties by item id) in a flat
-    array aligned with the training matrix's ``indptr``, so looking up
-    "the item at position ``t`` of user ``u``'s factor-``q`` ranking" is
-    a few fancy indexes — no per-tuple sorting.  Rebuilt on the same
-    ``log(m)`` schedule as :class:`FactorRankingCache`.
+    Backs DSS's *positive* draw: :meth:`positives_at` returns the item at
+    position ``t`` of user ``u``'s positives in ascending ``V[:, q]`` order
+    (ties by item id).  Rebuilt on the same ``log(m)`` schedule as
+    :class:`FactorRankingCache`.
 
-    A rebuild is one vectorized pass over all factors: each item's
-    ascending stable rank under every factor comes from the ``(d, m)``
-    ascending orders, every training pair gets the key ``user * m +
-    rank``, and a plain row-wise ``np.sort`` of the ``(d, nnz)`` keys
-    groups the pairs by user and orders each group by rank.  The keys are
-    distinct within a row, so the unstable sort is exact.  The cache
-    keeps the sorted keys and decodes only the positions drawn: ``key -
-    user * m`` is the rank, and the ascending orders map it to an item.
-    Keys are int32 while ``max(n_users, d) * n_items < 2**31``, which
-    halves the sort's memory traffic.
+    A rebuild keeps only the ``(d, m)`` rank table of the snapshot, the
+    inverse of the shared ascending orders: ``rank[q, i]`` is item ``i``'s
+    place in factor ``q``'s ascending list.  It is a total order that
+    already breaks ties, signed zeros and NaN the way the list does.  A
+    draw then ranks only the drawn users' positives: every positive of
+    draw ``t`` gets the key ``t * m + rank``, one ``np.sort`` of those keys
+    groups them by draw and orders each group by rank, and the key at
+    ``positions[t]`` within draw ``t``'s group names the item through the
+    ascending orders.  The keys are distinct, so the unstable sort is
+    exact, and int32 while ``draws * m < 2**31``.  A step sorts about ``B * E[L^2] / E[L]`` keys for ``B`` draws
+    over users with ``L`` positives, instead of ``d * nnz`` per refresh.
     """
 
     def __init__(
@@ -249,22 +254,13 @@ class UserPositiveRankingCache(_RankingCache):
     ):
         super().__init__(params, refresh_interval, orders)
         self._train = train
-        fits = max(train.n_users, params.n_factors) * train.n_items < 2**31
-        self._key_dtype = np.int32 if fits else np.int64
-        self._user_keys = np.repeat(
-            np.arange(train.n_users, dtype=self._key_dtype) * train.n_items, train.user_counts()
-        )
 
     def _build(self, item_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        train = self._train
-        dtype = self._key_dtype
         ascending = self._factor_orders.of(item_factors)[0]
-        ranks = np.empty(ascending.shape, dtype=dtype)
-        np.put_along_axis(ranks, ascending, np.arange(train.n_items, dtype=dtype)[None, :], axis=1)
-        keys = ranks[:, train.indices]
-        keys += self._user_keys
-        keys.sort(axis=1)
-        return keys, ascending
+        ranks = np.empty(ascending.shape, dtype=np.int32)
+        places = np.arange(ascending.shape[1], dtype=np.int32)
+        np.put_along_axis(ranks, ascending, places[None, :], axis=1)
+        return ranks, ascending
 
     def positives_at(
         self,
@@ -273,8 +269,19 @@ class UserPositiveRankingCache(_RankingCache):
         positions: np.ndarray,
     ) -> np.ndarray:
         """Item at ``positions[t]`` (ascending factor order) of each user."""
-        keys, ascending = self._current_orders()
-        # Each user's keys fill its own indptr segment of every row.
-        slots = self._train.indptr[users] + positions
-        ranks = keys[factors, slots] - self._user_keys[slots]
-        return ascending[factors, ranks]
+        ranks, ascending = self._current_orders()
+        train = self._train
+        n_items = train.n_items
+        starts = train.indptr[users]
+        lengths = train.indptr[users + 1] - starts
+        # The drawn users' CSR segments laid end to end: draw t owns
+        # [offsets[t], offsets[t] + lengths[t]) of the flat arrays.
+        offsets = np.cumsum(lengths) - lengths
+        draw = np.repeat(np.arange(len(users)), lengths)
+        slots = np.arange(len(draw)) + (starts - offsets)[draw]
+        dtype = np.int32 if len(users) * n_items < 2**31 else np.int64
+        base = np.arange(len(users), dtype=dtype) * n_items
+        keys = ranks.ravel()[(factors * n_items)[draw] + train.indices[slots]] + base[draw]
+        keys.sort()
+        chosen = keys[offsets + positions] - base
+        return ascending[factors, chosen]

@@ -253,7 +253,6 @@ class TestUserPositiveRankingCache:
         params.item_factors[:, 1] = rng.integers(0, 4, n_items)
         cache = UserPositiveRankingCache(train, params, refresh_interval=1)
         cache.maybe_refresh()
-        assert cache._user_keys.dtype == np.int64
         assert np.array_equal(
             self._sweep(cache, train, 2), self._lexsort_reference(train, params.item_factors)
         )
