@@ -43,7 +43,7 @@ from perfbench.provenance import provenance  # noqa: E402
 from repro.data.interactions import InteractionMatrix  # noqa: E402
 from repro.mf.sgd import SGDConfig  # noqa: E402
 from repro.models import BPR  # noqa: E402
-from repro.resilience.chaos import ProcessFaultInjector, flip_bits  # noqa: E402
+from repro.resilience.chaos import KillSwitch, flip_bits  # noqa: E402
 from repro.drills import ingest  # noqa: E402
 from repro.runtime import (  # noqa: E402
     COMPONENTS,
@@ -102,7 +102,7 @@ def bench_restart_latency(args) -> dict:
         config=ServiceConfig(default_deadline_ms=250.0),
         executor=ThreadedExecutor(max_workers=2),
     )
-    faults = ProcessFaultInjector()
+    faults = KillSwitch()
     results: dict[str, dict] = {}
     with TemporaryDirectory() as tmp:
         stack = RuntimeStack(

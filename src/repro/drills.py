@@ -29,7 +29,7 @@ from repro.experiments.config import ExperimentScale
 from repro.experiments.registry import make_model
 from repro.obs import MetricsRegistry
 from repro.resilience.chaos import (
-    ProcessFaultInjector,
+    KillSwitch,
     ServiceFaultInjector,
     TierFault,
     flip_bits,
@@ -416,7 +416,7 @@ def run_disaster_drill(
     """Kills and bit flips under traffic on the supervised stack, then
     drain → snapshot → wipe → restore → replay to the same factors."""
     serve_model, model = _fit_twice(config.model, split)
-    faults = ProcessFaultInjector()
+    faults = KillSwitch()
     stack = RuntimeStack(
         config.serving.build(serve_model, split.train, obs=obs),
         model,

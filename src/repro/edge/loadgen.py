@@ -122,7 +122,7 @@ class ChaosEvent:
         elif self.action == "latency":
             chaos.inject(self.tier, latency_ms=self.latency_ms)
         elif self.action == "exception":
-            chaos.inject(self.tier, exception=RuntimeError(f"chaos: {self.tier} down"))
+            chaos.inject(self.tier, exception=True)
         elif self.action == "nan":
             chaos.inject(self.tier, nan_scores=True)
         else:

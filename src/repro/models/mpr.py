@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.base import TupleSGDRecommender
-from repro.sampling.base import TupleBatch, _MAX_REJECTION_ROUNDS
+from repro.sampling.base import TupleBatch
 from repro.utils.validation import check_probability
 
 
@@ -88,18 +88,14 @@ class MPR(TupleSGDRecommender):
 
     def _sample_uncertain_popularity(self, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Popularity-proportional unobserved item per user."""
-        draws = rng.random(len(users))
-        items = np.searchsorted(self._popularity_cdf, draws)
-        items = np.minimum(items, len(self._popularity_cdf) - 1)
-        for _ in range(_MAX_REJECTION_ROUNDS):
-            observed = self.sampler.contains_pairs(users, items)
-            if not observed.any():
-                return items
-            redo = int(observed.sum())
-            redraw = np.searchsorted(self._popularity_cdf, rng.random(redo))
-            items[observed] = np.minimum(redraw, len(self._popularity_cdf) - 1)
-        items[observed] = self.sampler.sample_negative_uniform(users[observed], rng)
-        return items
+        cdf = self._popularity_cdf
+
+        def draw(size: int) -> np.ndarray:
+            return np.minimum(np.searchsorted(cdf, rng.random(size)), len(cdf) - 1)
+
+        return self.sampler.redraw_observed(
+            users, draw(len(users)), lambda where: draw(len(where)), rng
+        )
 
     def _make_batch(self, batch_size: int, rng: np.random.Generator) -> TupleBatch:
         batch = self.sampler.sample(batch_size, rng)

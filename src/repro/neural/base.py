@@ -10,10 +10,9 @@ from repro.data.interactions import InteractionMatrix
 from repro.models.base import Recommender
 from repro.neural.autograd import Tensor, no_grad
 from repro.neural.optim import Adam
+from repro.sampling.uniform import UniformSampler
 from repro.utils.exceptions import ConfigError, DataError
 from repro.utils.rng import as_generator
-
-_MAX_REJECTION_ROUNDS = 100
 
 
 class NeuralRecommender(Recommender):
@@ -61,7 +60,7 @@ class NeuralRecommender(Recommender):
         self.epoch_callback = epoch_callback
         self.loss_history_: list[float] = []
         self._module = None
-        self._encoded_pairs: np.ndarray | None = None
+        self._negatives: UniformSampler | None = None
 
     # -- subclass interface ----------------------------------------------
     @abstractmethod
@@ -78,24 +77,14 @@ class NeuralRecommender(Recommender):
 
     # -- shared machinery ----------------------------------------------------
     def _sample_negatives(self, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n_items = self._train.n_items
-        negatives = rng.integers(0, n_items, size=len(users))
-        for _ in range(_MAX_REJECTION_ROUNDS):
-            encoded = users * n_items + negatives
-            positions = np.minimum(np.searchsorted(self._encoded_pairs, encoded), len(self._encoded_pairs) - 1)
-            observed = self._encoded_pairs[positions] == encoded
-            if not observed.any():
-                return negatives
-            negatives[observed] = rng.integers(0, n_items, size=int(observed.sum()))
-        raise DataError("failed to sample unobserved items; matrix too dense")
+        return self._negatives.sample_negative_uniform(users, rng)
 
     def fit(self, train: InteractionMatrix, validation: InteractionMatrix | None = None) -> "NeuralRecommender":
         if train.n_interactions == 0:
             raise DataError("cannot train on an empty interaction matrix")
         rng = as_generator(self.seed)
         self._train = train
-        users = np.repeat(np.arange(train.n_users, dtype=np.int64), train.user_counts())
-        self._encoded_pairs = np.sort(users * train.n_items + train.indices)
+        self._negatives = UniformSampler().bind(train)
         self._build(train.n_users, train.n_items, rng)
         optimizer = Adam(
             self._module.parameters(),

@@ -14,8 +14,8 @@ survivable:
   journaling so interrupted sweeps resume where they stopped;
 * :mod:`~repro.resilience.retry` — retry-with-backoff for flaky cells;
 * :mod:`~repro.resilience.chaos` — deterministic fault injection
-  (NaNs, exceptions, simulated kills) that makes all of the above
-  testable.
+  (NaNs, exceptions, simulated kills, disk errors, tier faults) behind
+  one armed-site schedule, which makes all of the above testable.
 """
 
 from repro.resilience.chaos import (
@@ -23,12 +23,11 @@ from repro.resilience.chaos import (
     DiskFaultInjector,
     FaultInjector,
     InjectedFault,
+    FaultSchedule,
     KillSwitch,
-    ProcessFaultInjector,
     ServiceFaultInjector,
     SimulatedKill,
     TierFault,
-    flaky,
     flip_bits,
 )
 from repro.resilience.checkpoint import (
@@ -53,10 +52,10 @@ __all__ = [
     "DiskFaultInjector",
     "ExperimentJournal",
     "FaultInjector",
+    "FaultSchedule",
     "GuardConfig",
     "InjectedFault",
     "KillSwitch",
-    "ProcessFaultInjector",
     "ServiceFaultInjector",
     "SimulatedKill",
     "TierFault",
@@ -65,7 +64,6 @@ __all__ = [
     "as_guard",
     "cell_key",
     "checkpoint_path",
-    "flaky",
     "flip_bits",
     "latest_checkpoint",
     "list_checkpoints",

@@ -1,31 +1,30 @@
-"""Deterministic fault injection for testing the resilience machinery.
+"""Deterministic fault injection: one schedule, five effects.
 
-Every recovery path in this subsystem — checkpoint/resume, divergence
-rollback, experiment isolation — is only trustworthy if it can be
-exercised on demand.  :class:`FaultInjector` attaches to any SGD-family
-model (``model.fault_injector = FaultInjector(...)``) and fires at an
-exact global step:
+Every recovery path — checkpoint/resume, divergence rollback, crash-safe
+ingest, supervised restarts, durable writes, the serving cascade — is
+only trustworthy if it can be exercised on demand.  :class:`FaultSchedule`
+does the counting for all of them: it arms charges against named sites,
+counts every pass through a site and fires a charge per pass from the
+armed one on.  Each injector keeps only its effect:
 
-* ``nan_at_step`` — poisons a slice of the item factors with NaN,
-  simulating a sigmoid-saturated gradient blowup;
-* ``fail_at_step`` — raises :class:`InjectedFault`, an ordinary
-  exception, simulating a crashing method inside an experiment sweep;
-* ``kill_at_step`` — raises :class:`SimulatedKill`, which derives from
-  ``BaseException`` so that ``except Exception`` recovery code cannot
-  swallow it — the closest in-process analogue of ``kill -9``.
-
-Steps are counted by the injector itself (one :meth:`tick` per SGD
-step), so injection points are deterministic and independent of epoch
-boundaries.  Each fault fires at most once.
+* :class:`FaultInjector` (ticked once per SGD step): NaN item-factor
+  rows, :class:`InjectedFault`, or :class:`SimulatedKill` at a step;
+* :class:`KillSwitch`: :class:`SimulatedKill` at a named crash site of
+  the WAL/ingest protocols or a supervised component's heartbeat;
+* :class:`DiskFaultInjector`: ``OSError`` from the file primitives
+  under :mod:`repro.utils.atomicio`, including torn short writes;
+* :class:`ServiceFaultInjector`: per-tier latency, exceptions and NaN
+  scores in the serving cascade, armed until cleared, not counted.
 """
 
 from __future__ import annotations
 
 import errno as _errno
 import os
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, TypeVar
 
 import numpy as np
 
@@ -47,9 +46,86 @@ class SimulatedKill(BaseException):
     """
 
 
+_Schedule = TypeVar("_Schedule", bound="FaultSchedule")
+
+
 @dataclass
-class FaultInjector:
+class _Charges:
+    at_tick: int  # the first tick that may fire
+    armed: int  # charges armed since the last reset
+    left: int  # charges not fired yet
+
+
+class FaultSchedule:
+    """Armed sites, their tick counts and what fired.
+
+    Each site counts its own ticks, 1-based, whether or not it is
+    armed.  A site armed with ``at_tick=n, times=m`` fires at the first
+    ``m`` of its ticks ``>= n`` — ticks ``n .. n+m-1`` — once per tick.
+    ``at_tick`` defaults to the site's next tick.  Arming a site that
+    still has charges adds ``times`` charges and keeps its ``at_tick``.
+    :meth:`reset` rewinds (zero ticks, nothing fired, every charge
+    restored); :meth:`clear` disarms every site.
+    """
+
+    def __init__(self) -> None:
+        self.ticks_: dict[str, int] = {}
+        self.fired_: list[str] = []
+        self._charges: dict[str, _Charges] = {}
+        # A supervisor's kills are armed from one thread, ticked from another.
+        self._lock = threading.Lock()
+
+    def arm(self: _Schedule, site: str, at_tick: int | None = None, *, times: int = 1) -> _Schedule:
+        """Arm ``times`` charges against ``site`` (returns self)."""
+        if times < 1:
+            raise ValueError(f"times must be >= 1, got {times}")
+        if at_tick is not None and at_tick < 1:
+            raise ValueError(f"at_tick must be >= 1, got {at_tick}")
+        with self._lock:
+            charges = self._charges.get(site)
+            if charges is not None and charges.left > 0:
+                charges.armed += times
+                charges.left += times
+            else:
+                start = self.ticks_.get(site, 0) + 1 if at_tick is None else at_tick
+                self._charges[site] = _Charges(start, times, times)
+        return self
+
+    def fire(self, site: str) -> bool:
+        """Count one tick of ``site``; True when a charge fired on it."""
+        with self._lock:
+            tick = self.ticks_.get(site, 0) + 1
+            self.ticks_[site] = tick
+            charges = self._charges.get(site)
+            if charges is None or charges.left == 0 or tick < charges.at_tick:
+                return False
+            charges.left -= 1
+            self.fired_.append(site)
+            return True
+
+    def reset(self) -> None:
+        with self._lock:
+            self.ticks_ = {}
+            self.fired_ = []
+            for charges in self._charges.values():
+                charges.left = charges.armed
+
+    def clear(self) -> None:
+        with self._lock:
+            self._charges.clear()
+
+
+_STEP_SITES = ("nan", "fail", "kill")
+
+
+@dataclass
+class FaultInjector(FaultSchedule):
     """Injects one fault of each kind at configured global steps.
+
+    The sites are ``"nan"``, ``"fail"`` and ``"kill"``.  The owning
+    model calls :meth:`tick` once per SGD step and :meth:`reset` at the
+    start of each ``fit``, so each fault fires once per fit, at a step
+    independent of epoch boundaries.
 
     Attributes
     ----------
@@ -64,69 +140,46 @@ class FaultInjector:
     fail_at_step: int | None = None
     kill_at_step: int | None = None
     nan_rows: int = 1
-    step_: int = field(default=0, init=False)
-    fired_: list[str] = field(default_factory=list, init=False)
 
-    def reset(self) -> None:
-        self.step_ = 0
-        self.fired_ = []
+    def __post_init__(self) -> None:
+        super().__init__()
+        steps = (self.nan_at_step, self.fail_at_step, self.kill_at_step)
+        for site, step in zip(_STEP_SITES, steps):
+            if step is not None:
+                self.arm(site, at_tick=step)
 
     def tick(self, params: FactorParams | None = None) -> None:
         """Advance one step; fire any fault scheduled for it."""
-        self.step_ += 1
-        if self.nan_at_step == self.step_ and "nan" not in self.fired_:
-            self.fired_.append("nan")
-            if params is not None:
-                rows = min(self.nan_rows, params.n_items)
-                params.item_factors[:rows] = np.nan
-        if self.fail_at_step == self.step_ and "fail" not in self.fired_:
-            self.fired_.append("fail")
-            raise InjectedFault(f"injected failure at step {self.step_}")
-        if self.kill_at_step == self.step_ and "kill" not in self.fired_:
-            self.fired_.append("kill")
-            raise SimulatedKill(f"simulated kill at step {self.step_}")
+        nan, fail, kill = [self.fire(site) for site in _STEP_SITES]
+        step = self.ticks_["nan"]
+        if nan and params is not None:
+            rows = min(self.nan_rows, params.n_items)
+            params.item_factors[:rows] = np.nan
+        if fail:
+            raise InjectedFault(f"injected failure at step {step}")
+        if kill:
+            raise SimulatedKill(f"simulated kill at step {step}")
 
 
-@dataclass
-class KillSwitch:
-    """Named-site kill injection for multi-step durable protocols.
+class KillSwitch(FaultSchedule):
+    """:class:`SimulatedKill` at named sites.
 
-    :class:`FaultInjector` counts *SGD steps*; the streaming ingestion
-    path instead has a handful of named crash sites ("after the WAL
-    write, before the fsync", "after the checkpoint, before the offset
-    advance", ...).  A ``KillSwitch`` arms a 1-based tick count per site
-    name and raises :class:`SimulatedKill` when that site's counter
-    reaches the armed value, so a test can assert the recovery invariant
-    at *every* interleaving point by iterating sites x counts.
-
-    Each armed site fires at most once; a disarmed site's ticks are
-    counted but harmless, which keeps production call sites free of
-    ``if kill_switch is not None`` noise (use :meth:`tick` through a
-    ``None``-safe module-level helper or guard at the caller).
+    The streaming path ticks named crash sites ("after the WAL write,
+    before the fsync", ...), so a test can arm each site at each tick
+    count and assert the recovery invariant at every interleaving
+    point.  The supervisor ticks each component's name on its
+    heartbeat, so :meth:`kill` tears a component down inside its own
+    thread, which no real signal can do.
     """
 
-    kill_at: dict[str, int] = field(default_factory=dict)
-    ticks_: dict[str, int] = field(default_factory=dict, init=False)
-    fired_: list[str] = field(default_factory=list, init=False)
-
-    def arm(self, site: str, at_tick: int = 1) -> "KillSwitch":
-        """Arm ``site`` to kill at its ``at_tick``-th tick (1-based)."""
-        if at_tick < 1:
-            raise ValueError(f"at_tick must be >= 1, got {at_tick}")
-        self.kill_at[site] = at_tick
-        return self
-
-    def reset(self) -> None:
-        self.ticks_ = {}
-        self.fired_ = []
+    def kill(self, component: str, *, times: int = 1) -> "KillSwitch":
+        """Kill ``component`` at its next ``times`` heartbeats (returns self)."""
+        return self.arm(component, times=times)
 
     def tick(self, site: str) -> None:
-        """Record one pass through ``site``; kill if armed for it."""
-        count = self.ticks_.get(site, 0) + 1
-        self.ticks_[site] = count
-        if self.kill_at.get(site) == count and site not in self.fired_:
-            self.fired_.append(site)
-            raise SimulatedKill(f"simulated kill at site {site!r} tick {count}")
+        """Record one pass through ``site``; kill if a charge fires."""
+        if self.fire(site):
+            raise SimulatedKill(f"simulated kill at site {site!r} tick {self.ticks_[site]}")
 
 
 @dataclass
@@ -161,8 +214,9 @@ class ServiceFaultInjector:
     SGD step, this attacks the *request* path per tier: the
     :class:`~repro.serving.service.RecommendationService` calls
     :meth:`before_call` ahead of every tier execution (latency /
-    exception faults) and tiers pass their raw score vectors through
-    :meth:`poison_scores` (NaN fault).  Faults are armed and cleared by
+    exception faults), and every tier passes each score row it ranks
+    through :meth:`poison_scores` (NaN fault; counted once per row).
+    Faults are not counted down: they are armed and cleared by
     name at any point — "the personalized tier is 100% broken for the
     next N requests, then healthy" is two method calls — which is what
     the breaker-recovery and zero-failed-request chaos tests exercise.
@@ -231,7 +285,7 @@ class ServiceFaultInjector:
 
 @dataclass
 class DiskFault:
-    """One armed filesystem fault.
+    """The effect of one armed filesystem fault.
 
     Attributes
     ----------
@@ -245,8 +299,6 @@ class DiskFault:
     errno_code:
         The ``OSError`` errno to raise — ``EIO`` for a dying device,
         ``ENOSPC`` for a full disk, etc.
-    times:
-        How many matching calls fail before the fault disarms itself.
     short_write_bytes:
         For ``op="write"`` only: write this many leading bytes through
         to the real handle *then* raise, leaving a torn frame on disk —
@@ -256,7 +308,6 @@ class DiskFault:
     op: str
     path_substring: str = ""
     errno_code: int = _errno.EIO
-    times: int = 1
     short_write_bytes: int | None = None
 
     _VALID_OPS = ("write", "fsync", "replace", "open_append", "truncate")
@@ -264,8 +315,10 @@ class DiskFault:
     def __post_init__(self) -> None:
         if self.op not in self._VALID_OPS:
             raise ValueError(f"op must be one of {self._VALID_OPS}, got {self.op!r}")
-        if self.times < 1:
-            raise ValueError(f"times must be >= 1, got {self.times}")
+
+    def matches(self, op: str, path: Path | None) -> bool:
+        hit = not self.path_substring or (path is not None and self.path_substring in str(path))
+        return op == self.op and hit
 
 
 class DiskFaultInjector(FileOps):
@@ -274,16 +327,20 @@ class DiskFaultInjector(FileOps):
     Install with :func:`repro.utils.atomicio.set_file_ops` (or the
     ``injected_file_ops`` context manager) and every durable write in
     the repository becomes attackable: ENOSPC on append, EIO on fsync,
-    failed renames, short writes that tear a frame mid-record.  Faults
-    are armed per operation with optional path matching and a fire
-    budget; unarmed operations pass straight through to the real
-    primitives, so a test can maim one checkpoint write while the rest
-    of the system keeps its durability guarantees.
+    failed renames, short writes that tear a frame mid-record.  Each
+    ``(op, path_substring)`` pair is one site of the schedule: its next
+    ``times`` matching calls fail.  Other calls pass straight through,
+    so a test can maim one checkpoint write while the rest of the
+    system keeps its durability guarantees.
     """
 
     def __init__(self) -> None:
-        self.faults: list[DiskFault] = []
-        self.fired_: list[str] = []
+        self.faults: dict[str, DiskFault] = {}
+        self.schedule = FaultSchedule()
+
+    @property
+    def fired_(self) -> list[str]:
+        return self.schedule.fired_
 
     def arm(
         self,
@@ -294,78 +351,54 @@ class DiskFaultInjector(FileOps):
         times: int = 1,
         short_write_bytes: int | None = None,
     ) -> "DiskFaultInjector":
-        """Arm one fault (returns self for chaining)."""
-        self.faults.append(
-            DiskFault(
-                op=op,
-                path_substring=path_substring,
-                errno_code=errno_code,
-                times=times,
-                short_write_bytes=short_write_bytes,
-            )
-        )
+        """Arm one fault (returns self for chaining).
+
+        Re-arming the same ``op`` and ``path_substring`` adds charges;
+        the latest ``errno_code`` and ``short_write_bytes`` apply.
+        """
+        fault = DiskFault(op, path_substring, errno_code, short_write_bytes)
+        site = f"{op}:{path_substring}"
+        self.schedule.arm(site, times=times)
+        self.faults[site] = fault
         return self
 
     def clear(self) -> None:
-        self.faults = []
+        self.faults.clear()
+        self.schedule.clear()
 
-    def _take(self, op: str, path: Path | None) -> DiskFault | None:
-        """Pop a matching armed fault's charge, if any."""
-        for fault in self.faults:
-            if fault.op != op:
-                continue
-            if fault.path_substring and (
-                path is None or fault.path_substring not in str(path)
-            ):
-                continue
-            fault.times -= 1
-            if fault.times <= 0:
-                self.faults.remove(fault)
-            self.fired_.append(f"{op}:{path}")
-            return fault
-        return None
-
-    def _raise(self, fault: DiskFault, op: str, path: Path | None) -> None:
-        raise OSError(
-            fault.errno_code,
-            f"injected disk fault: {op} on {path} "
-            f"({_errno.errorcode.get(fault.errno_code, fault.errno_code)})",
-        )
+    def _check(self, op: str, path: Path | None, handle: IO[bytes] | None = None, data=b"") -> None:
+        """Raise the first armed fault that fires on this call."""
+        for site, fault in self.faults.items():
+            if fault.matches(op, path) and self.schedule.fire(site):
+                if handle is not None and fault.short_write_bytes is not None:
+                    # Tear the write: some bytes land, then the device dies.
+                    super().write(handle, data[: fault.short_write_bytes])
+                    handle.flush()
+                raise OSError(
+                    fault.errno_code,
+                    f"injected disk fault: {op} on {path} "
+                    f"({_errno.errorcode.get(fault.errno_code, fault.errno_code)})",
+                )
 
     def open_append(self, path: Path) -> IO[bytes]:
-        fault = self._take("open_append", path)
-        if fault is not None:
-            self._raise(fault, "open_append", path)
+        self._check("open_append", path)
         return super().open_append(path)
 
     def write(self, handle: IO[bytes], data: bytes) -> int:
-        path = Path(getattr(handle, "name", "")) if getattr(handle, "name", None) else None
-        fault = self._take("write", path)
-        if fault is None:
-            return super().write(handle, data)
-        if fault.short_write_bytes is not None:
-            # Tear the write: some bytes land, then the device dies.
-            super().write(handle, data[: fault.short_write_bytes])
-            handle.flush()
-        self._raise(fault, "write", path)
-        raise AssertionError("unreachable")  # pragma: no cover
+        name = getattr(handle, "name", None)
+        self._check("write", Path(name) if name else None, handle, data)
+        return super().write(handle, data)
 
     def fsync(self, fd: int, *, path: Path | None = None) -> None:
-        fault = self._take("fsync", path)
-        if fault is not None:
-            self._raise(fault, "fsync", path)
+        self._check("fsync", path)
         super().fsync(fd, path=path)
 
     def replace(self, src: Path, dst: Path) -> None:
-        fault = self._take("replace", dst)
-        if fault is not None:
-            self._raise(fault, "replace", dst)
+        self._check("replace", dst)
         super().replace(src, dst)
 
     def truncate(self, path: Path, length: int) -> None:
-        fault = self._take("truncate", path)
-        if fault is not None:
-            self._raise(fault, "truncate", path)
+        self._check("truncate", path)
         super().truncate(path, length)
 
 
@@ -395,56 +428,3 @@ def flip_bits(path: str | Path, offsets: Iterable[int], *, mask: int = 0x01) -> 
         os.close(fd)
     return flipped
 
-
-@dataclass
-class ProcessFaultInjector:
-    """Armed in-process "SIGKILL"s for supervised components.
-
-    Real threads cannot be killed from outside, so the supervisor's
-    components cooperate the same way the streaming path does with
-    :class:`KillSwitch`: every component loop calls
-    ``ctx.heartbeat()``, and an armed kill raises
-    :class:`SimulatedKill` *inside the component thread* at its next
-    heartbeat — tearing the component down mid-work without unwinding
-    anything else, exactly like the asynchronous signal it stands in
-    for.  Each armed kill fires once.
-    """
-
-    armed: dict[str, int] = field(default_factory=dict)
-    fired_: list[str] = field(default_factory=list, init=False)
-
-    def kill(self, component: str, *, times: int = 1) -> "ProcessFaultInjector":
-        """Arm ``times`` kills against ``component`` (returns self)."""
-        if times < 1:
-            raise ValueError(f"times must be >= 1, got {times}")
-        self.armed[component] = self.armed.get(component, 0) + times
-        return self
-
-    def check(self, component: str) -> None:
-        """Called from the component's heartbeat; raises if armed."""
-        remaining = self.armed.get(component, 0)
-        if remaining <= 0:
-            return
-        if remaining == 1:
-            self.armed.pop(component, None)
-        else:
-            self.armed[component] = remaining - 1
-        self.fired_.append(component)
-        raise SimulatedKill(f"simulated kill of component {component!r}")
-
-
-def flaky(fn, *, fail_times: int, exc: type[Exception] = InjectedFault):
-    """Wrap ``fn`` to raise ``exc`` on its first ``fail_times`` calls.
-
-    A tiny helper for testing retry-with-backoff paths: the wrapped
-    callable fails deterministically, then behaves normally.
-    """
-    calls = {"n": 0}
-
-    def wrapper(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] <= fail_times:
-            raise exc(f"injected flaky failure {calls['n']}/{fail_times}")
-        return fn(*args, **kwargs)
-
-    return wrapper

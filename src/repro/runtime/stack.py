@@ -48,7 +48,7 @@ from typing import Callable
 from repro.data.interactions import InteractionMatrix
 from repro.edge.http import EdgeConfig, EdgeServer
 from repro.obs import MetricsRegistry, as_registry
-from repro.resilience.chaos import ProcessFaultInjector
+from repro.resilience.chaos import KillSwitch
 from repro.runtime.scrub import ReplicaPair, Scrubber, ScrubReport
 from repro.runtime.snapshot import (
     SnapshotManifest,
@@ -157,7 +157,7 @@ class RuntimeStack(DataDir):
     data_dir:
         Root of all durable state, laid out as :class:`DataDir`.
     faults:
-        Optional :class:`~repro.resilience.chaos.ProcessFaultInjector`;
+        Optional :class:`~repro.resilience.chaos.KillSwitch`;
         the disaster drill arms kills against component names through it.
     """
 
@@ -178,7 +178,7 @@ class RuntimeStack(DataDir):
         drift_thresholds: DriftThresholds | None = None,
         obs: MetricsRegistry | None = None,
         clock: Clock | None = None,
-        faults: ProcessFaultInjector | None = None,
+        faults: KillSwitch | None = None,
     ):
         super().__init__(data_dir)
         self.service = service

@@ -25,11 +25,11 @@ unit-testable on a :class:`~repro.utils.clock.FakeClock` without
 sleeping.  Only the component bodies themselves run on real threads.
 
 Process faults are injected cooperatively: real threads cannot receive
-signals, so an armed
-:class:`~repro.resilience.chaos.ProcessFaultInjector` raises
-:class:`~repro.resilience.chaos.SimulatedKill` from inside
-``ctx.heartbeat()`` — the same discipline the streaming kill-switch
-drills use (see ``KillSwitch``).
+signals, so ``ctx.heartbeat()`` ticks the component's name on a
+:class:`~repro.resilience.chaos.KillSwitch`, and a kill armed with
+:meth:`~repro.resilience.chaos.KillSwitch.kill` raises
+:class:`~repro.resilience.chaos.SimulatedKill` from inside it — the
+same switch the streaming crash-site drills tick.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.obs import MetricsRegistry, as_registry
-from repro.resilience.chaos import ProcessFaultInjector
+from repro.resilience.chaos import KillSwitch
 from repro.utils.clock import Clock, as_clock
 from repro.utils.exceptions import ConfigError
 
@@ -117,7 +117,7 @@ class ComponentContext:
         self._supervisor._record_heartbeat(self.name)
         faults = self._supervisor.faults
         if faults is not None:
-            faults.check(self.name)
+            faults.tick(self.name)
 
 
 @dataclass
@@ -153,7 +153,7 @@ class Supervisor:
         *,
         clock: Clock | None = None,
         obs: MetricsRegistry | None = None,
-        faults: ProcessFaultInjector | None = None,
+        faults: KillSwitch | None = None,
     ):
         self.config = config or SupervisorConfig()
         self.clock = as_clock(clock)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sampling.base import _MAX_REJECTION_ROUNDS, Sampler, TupleBatch
+from repro.sampling.base import Sampler, TupleBatch
 from repro.sampling.geometric import FactorRankingCache
 from repro.utils.exceptions import ConfigError
 from repro.utils.validation import check_in_range
@@ -63,17 +63,14 @@ class AlphaBetaSampler(Sampler):
         factors = rng.integers(0, self.params.n_factors, size=len(users))
         reverse = self.params.user_factors[users, factors] < 0
         neg_j = self._cache.items_at(factors, self._window_ranks(len(users), rng), reverse)
-        observed = self.contains_pairs(users, neg_j)
-        for _ in range(_MAX_REJECTION_ROUNDS):
-            if not observed.any():
-                return neg_j
-            redo = int(observed.sum())
-            neg_j[observed] = self._cache.items_at(
-                factors[observed], self._window_ranks(redo, rng), reverse[observed]
-            )
-            observed = self.contains_pairs(users, neg_j)
-        neg_j[observed] = self.sample_negative_uniform(users[observed], rng)
-        return neg_j
+        return self.redraw_observed(
+            users,
+            neg_j,
+            lambda where: self._cache.items_at(
+                factors[where], self._window_ranks(len(where), rng), reverse[where]
+            ),
+            rng,
+        )
 
     def _sample(self, batch_size: int, rng: np.random.Generator) -> TupleBatch:
         users, pos_i = self.sample_anchor_pairs(batch_size, rng)

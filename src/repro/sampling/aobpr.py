@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sampling.base import _MAX_REJECTION_ROUNDS, Sampler, TupleBatch
+from repro.sampling.base import Sampler, TupleBatch
 from repro.sampling.geometric import FactorRankingCache, TruncatedGeometric
 from repro.utils.validation import check_in_range
 
@@ -65,19 +65,15 @@ class AdaptiveOversampler(Sampler):
         self._cache.maybe_refresh()
         factors = self._factor_choice(users, rng)
         reverse = self.params.user_factors[users, factors] < 0
-        ranks = self._ranks.draw(rng, len(users))
-        neg_j = self._cache.items_at(factors, ranks, reverse)
-        for _ in range(_MAX_REJECTION_ROUNDS):
-            observed = self.contains_pairs(users, neg_j)
-            if not observed.any():
-                return neg_j
-            redo = int(observed.sum())
-            ranks = self._ranks.draw(rng, redo)
-            neg_j[observed] = self._cache.items_at(factors[observed], ranks, reverse[observed])
-            # After a few failed geometric draws the remaining tuples fall
-            # back to uniform rejection, which always terminates.
-        neg_j[observed] = self.sample_negative_uniform(users[observed], rng)
-        return neg_j
+        neg_j = self._cache.items_at(factors, self._ranks.draw(rng, len(users)), reverse)
+        return self.redraw_observed(
+            users,
+            neg_j,
+            lambda where: self._cache.items_at(
+                factors[where], self._ranks.draw(rng, len(where)), reverse[where]
+            ),
+            rng,
+        )
 
     def _sample(self, batch_size: int, rng: np.random.Generator) -> TupleBatch:
         users, pos_i = self.sample_anchor_pairs(batch_size, rng)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -136,21 +137,48 @@ class Sampler(ABC):
             pos_k[clash] = train.indices[train.indptr[users[clash]] + offsets]
         return pos_k
 
+    def redraw_observed(
+        self,
+        users: np.ndarray,
+        items: np.ndarray,
+        redraw: Callable[[np.ndarray], np.ndarray],
+        rng: np.random.Generator | None = None,
+    ) -> np.ndarray:
+        """Redraw ``items`` in place until no ``(users[t], items[t])`` is observed.
+
+        Each round sets ``items[where] = redraw(where)`` for the observed
+        positions ``where`` (ascending) and re-checks only those, so the
+        mask is the one a whole-batch check would give.  Positions still
+        observed after ``_MAX_REJECTION_ROUNDS`` rounds fall back to
+        :meth:`sample_negative_uniform` with ``rng``; without ``rng``
+        (the uniform draw itself) they raise :class:`DataError`.
+        """
+        observed = self.contains_pairs(users, items)
+        for _ in range(_MAX_REJECTION_ROUNDS):
+            if not observed.any():
+                return items
+            where = np.flatnonzero(observed)
+            items[where] = redraw(where)
+            observed[where] = self.contains_pairs(users[where], items[where])
+        if observed.any():
+            if rng is None:
+                raise DataError(
+                    "rejection sampling failed to find unobserved items; matrix is too dense"
+                )
+            items[observed] = self.sample_negative_uniform(users[observed], rng)
+        return items
+
     def sample_negative_uniform(self, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Uniform unobserved item per user, by vectorized rejection."""
-        train = self.train
-        neg_j = rng.integers(0, train.n_items, size=len(users))
+        n_items = self.train.n_items
+        neg_j = rng.integers(0, n_items, size=len(users))
         self.obs.counter("sampler_draws_total", kind="negative").inc(len(users))
-        for _ in range(_MAX_REJECTION_ROUNDS):
-            observed = self.contains_pairs(users, neg_j)
-            if not observed.any():
-                return neg_j
-            n_observed = int(observed.sum())
-            self.obs.counter("sampler_rejections_total", kind="negative").inc(n_observed)
-            neg_j[observed] = rng.integers(0, train.n_items, size=n_observed)
-        raise DataError(
-            "rejection sampling failed to find unobserved items; matrix is too dense"
-        )
+
+        def redraw(where: np.ndarray) -> np.ndarray:
+            self.obs.counter("sampler_rejections_total", kind="negative").inc(len(where))
+            return rng.integers(0, n_items, size=len(where))
+
+        return self.redraw_observed(users, neg_j, redraw)
 
     # -- main API ---------------------------------------------------------
     def sample(self, batch_size: int, rng: np.random.Generator) -> TupleBatch:

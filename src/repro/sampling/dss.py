@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sampling.base import _MAX_REJECTION_ROUNDS, Sampler, TupleBatch
+from repro.sampling.base import Sampler, TupleBatch
 from repro.sampling.geometric import (
     FactorOrders,
     FactorRankingCache,
@@ -143,18 +143,15 @@ class DoubleSampler(Sampler):
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Geometric draw of ``j`` from the top of the global list."""
-        ranks = self._negative_ranks.draw(rng, len(users))
-        neg_j = self._cache.items_at(factors, ranks, reverse)
-        observed = self.contains_pairs(users, neg_j)
-        for _ in range(_MAX_REJECTION_ROUNDS):
-            if not observed.any():
-                return neg_j
-            redo = int(observed.sum())
-            ranks = self._negative_ranks.draw(rng, redo)
-            neg_j[observed] = self._cache.items_at(factors[observed], ranks, reverse[observed])
-            observed = self.contains_pairs(users, neg_j)
-        neg_j[observed] = self.sample_negative_uniform(users[observed], rng)
-        return neg_j
+        neg_j = self._cache.items_at(factors, self._negative_ranks.draw(rng, len(users)), reverse)
+        return self.redraw_observed(
+            users,
+            neg_j,
+            lambda where: self._cache.items_at(
+                factors[where], self._negative_ranks.draw(rng, len(where)), reverse[where]
+            ),
+            rng,
+        )
 
     # ------------------------------------------------------------------
     def _sample(self, batch_size: int, rng: np.random.Generator) -> TupleBatch:

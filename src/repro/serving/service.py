@@ -111,9 +111,9 @@ class RecommendationService:
         # Opt-in post-scoring hook (e.g. streaming.TimeDecayReranker);
         # None keeps every ranking bitwise identical to the tier output.
         self.reranker = reranker
+        # The one chaos hook: tiers poison their score rows through it.
         for tier in self.tiers:
-            if getattr(tier, "chaos", None) is None:
-                tier.chaos = chaos
+            tier.chaos = chaos
         overrides = breaker_configs or {}
         self.breakers: dict[str, CircuitBreaker] = {
             tier.name: CircuitBreaker(
@@ -180,14 +180,14 @@ class RecommendationService:
         item-item matrix is not worth building).
         """
         slot = ModelSlot(model, version=version, chaos=chaos, clock=clock)
-        tiers: list[ServingTier] = [PersonalizedTier(slot, train, chaos=chaos)]
+        tiers: list[ServingTier] = [PersonalizedTier(slot, train)]
         if getattr(model, "params_", None) is not None:
-            tiers.append(FoldInTier(slot, train, chaos=chaos))
+            tiers.append(FoldInTier(slot, train))
         if knn is None and fit_knn:
             knn = ItemKNN().fit(train)
         if knn is not None:
-            tiers.append(ItemKNNTier(knn, train, chaos=chaos))
-        tiers.append(PopularityTier(train, chaos=chaos))
+            tiers.append(ItemKNNTier(knn, train))
+        tiers.append(PopularityTier(train))
         return cls(
             tiers,
             train,

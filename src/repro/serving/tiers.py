@@ -84,7 +84,8 @@ class ServingTier:
 
     #: Cascade display name; also the breaker / chaos-injection key.
     name: str = "tier"
-    #: Optional chaos-injection policy, set by the service at assembly.
+    #: Chaos-injection policy, set by the service at assembly; every
+    #: score row :meth:`_rank` ranks passes through its ``poison_scores``.
     chaos: Any = None
     #: Tiers that rank from the user's history skip users who have none.
     needs_history: bool = False
@@ -128,6 +129,8 @@ class ServingTier:
     ) -> np.ndarray:
         """Validate, mask, and top-k one score vector."""
         scores = np.asarray(scores, dtype=np.float64)
+        if self.chaos is not None:
+            scores = self.chaos.poison_scores(self.name, scores)
         bad = ~np.isfinite(scores)
         if bad.any():
             raise TierError(
@@ -169,10 +172,9 @@ class PersonalizedTier(ServingTier):
 
     name = PERSONALIZED
 
-    def __init__(self, source: Any, train: InteractionMatrix, *, chaos: Any = None):
+    def __init__(self, source: Any, train: InteractionMatrix):
         self.source = source
         self.train = train
-        self.chaos = chaos
 
     def current_model(self) -> Recommender:
         get = getattr(self.source, "get", None)
@@ -245,8 +247,6 @@ class PersonalizedTier(ServingTier):
     ) -> list[np.ndarray | TierError]:
         users = np.asarray([request.user for request in requests], dtype=np.int64)
         scores = np.asarray(model.predict_batch(users))
-        if self.chaos is not None:
-            scores = self.chaos.poison_scores(self.name, scores)
         rankings: list[np.ndarray | TierError] = []
         for row, request in enumerate(requests):
             try:
@@ -274,13 +274,11 @@ class FoldInTier(ServingTier):
         *,
         weight: float = 10.0,
         reg: float = 0.1,
-        chaos: Any = None,
     ):
         self.source = source
         self.train = train
         self.weight = weight
         self.reg = reg
-        self.chaos = chaos
 
     def _params(self):
         get = getattr(self.source, "get", None)
@@ -301,10 +299,7 @@ class FoldInTier(ServingTier):
         result = fold_in_user_ridge(
             self._params(), history, weight=self.weight, reg=self.reg
         )
-        scores = result.predict()
-        if self.chaos is not None:
-            scores = self.chaos.poison_scores(self.name, scores)
-        return self._rank(scores, request, self.train)
+        return self._rank(result.predict(), request, self.train)
 
 
 class ItemKNNTier(ServingTier):
@@ -313,20 +308,17 @@ class ItemKNNTier(ServingTier):
     name = ITEM_KNN
     needs_history = True
 
-    def __init__(self, knn: Any, train: InteractionMatrix, *, chaos: Any = None):
+    def __init__(self, knn: Any, train: InteractionMatrix):
         if getattr(knn, "similarity_", None) is None:
             raise ConfigError("ItemKNNTier needs a fitted ItemKNN model")
         self.knn = knn
         self.train = train
-        self.chaos = chaos
 
     def serve(self, request: RecommendationRequest) -> np.ndarray:
         history = self._train_history(request, self.train)
         if len(history) == 0:
             raise TierError(f"{self.name}: user {request.user} has no history")
         scores = self.knn.similarity_[history].sum(axis=0)
-        if self.chaos is not None:
-            scores = self.chaos.poison_scores(self.name, scores)
         return self._rank(scores, request, self.train)
 
 
@@ -335,16 +327,12 @@ class PopularityTier(ServingTier):
 
     name = POPULARITY
 
-    def __init__(self, train: InteractionMatrix, *, chaos: Any = None):
+    def __init__(self, train: InteractionMatrix):
         self.train = train
-        self.chaos = chaos
         self._scores = train.item_counts().astype(np.float64)
 
     def serve(self, request: RecommendationRequest) -> np.ndarray:
-        scores = self._scores
-        if self.chaos is not None:
-            scores = self.chaos.poison_scores(self.name, scores)
-        return self._rank(scores, request, self.train)
+        return self._rank(self._scores, request, self.train)
 
 
 @dataclass

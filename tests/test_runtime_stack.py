@@ -20,7 +20,7 @@ from repro.data.interactions import InteractionMatrix
 from repro.edge import EdgeConfig
 from repro.mf.sgd import SGDConfig
 from repro.models import BPR
-from repro.resilience.chaos import ProcessFaultInjector, flip_bits
+from repro.resilience.chaos import KillSwitch as ProcessFaultInjector, flip_bits
 from repro.runtime import (
     QUARANTINED,
     RUNNING,

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.resilience.chaos import ProcessFaultInjector
+from repro.resilience.chaos import KillSwitch as ProcessFaultInjector
 from repro.runtime import (
     BACKOFF,
     QUARANTINED,
