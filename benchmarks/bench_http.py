@@ -113,7 +113,7 @@ def run_level(model, split, concurrency: int, args) -> dict:
         config=EdgeConfig(
             max_inflight=max(64, concurrency * 2),
             workers=max(8, concurrency // 2),
-            coalesce=CoalesceConfig(max_batch=16, max_wait_ms=1.0),
+            coalesce=CoalesceConfig(max_batch=16),
         ),
     )
     try:

@@ -499,9 +499,7 @@ def _edge_config_from_args(args):
         max_deadline_ms=args.max_deadline_ms,
         default_deadline_ms=args.deadline_ms,
         workers=args.http_workers,
-        coalesce=CoalesceConfig(
-            max_batch=args.coalesce_batch, max_wait_ms=args.coalesce_wait_ms
-        ),
+        coalesce=CoalesceConfig(max_batch=args.coalesce_batch),
     )
 
 
@@ -1070,9 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--http-workers", type=int, default=8,
                             help="scoring worker threads behind the event loop")
         parser.add_argument("--coalesce-batch", type=int, default=16,
-                            help="micro-batch flush size for single requests")
-        parser.add_argument("--coalesce-wait-ms", type=float, default=2.0,
-                            help="max ms a single request waits to be batched")
+                            help="most single requests one micro-batch carries")
 
     serve_http = subparsers.add_parser(
         "serve-http", help="serve the cascade over the versioned /v1 HTTP API"

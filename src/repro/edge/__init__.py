@@ -8,9 +8,9 @@ on the network without adding a single dependency:
   version-skew refusal; the provenance payload *is*
   :class:`repro.serving.schema.ServedResponse`, shared with the
   in-process API;
-* :mod:`~repro.edge.coalesce` — request coalescing: concurrent singles
-  micro-batch into one ``recommend_batch`` call, deterministic under
-  :class:`~repro.utils.clock.FakeClock`;
+* :mod:`~repro.edge.coalesce` — request coalescing: one
+  ``recommend_batch`` call in flight, and the singles that queue behind
+  it micro-batch into the next;
 * :mod:`~repro.edge.http` — the stdlib asyncio server: ``/v1``
   routes, per-request deadline propagation, 429/503 load shedding,
   per-route metrics, Prometheus scrape endpoint;
@@ -21,7 +21,7 @@ on the network without adding a single dependency:
 """
 
 from repro.edge.client import AsyncHttpClient, ClientError, HttpReply
-from repro.edge.coalesce import CoalesceBuffer, CoalesceConfig, MicroBatcher
+from repro.edge.coalesce import CoalesceConfig, MicroBatcher
 from repro.edge.http import EdgeConfig, EdgeServer, EdgeServerThread
 from repro.edge.loadgen import (
     ChaosEvent,
@@ -58,7 +58,6 @@ __all__ = [
     "BatchRecommendResponseV1",
     "ChaosEvent",
     "ClientError",
-    "CoalesceBuffer",
     "CoalesceConfig",
     "EdgeConfig",
     "EdgeServer",

@@ -1,32 +1,33 @@
 """Request coalescing: single requests micro-batched into one scoring call.
 
-Two layers, split so the batching *policy* is a pure function of an
-injectable clock:
+Work-conserving, with no timer: :meth:`MicroBatcher.submit` parks the
+caller on a future in a FIFO and, when no drain task is running, starts
+one.  The drain task takes up to ``max_batch`` queued requests at a
+time, runs them through :meth:`RecommendationService.recommend_batch
+<repro.serving.service.RecommendationService.recommend_batch>` on a
+worker thread (so the event loop never blocks on scoring), and loops
+until the queue is empty.  Each batcher has at most one batch in
+flight, so an idle edge answers a request at once and a busy edge
+batches exactly the requests that queued behind the batch in flight.
 
-* :class:`CoalesceBuffer` — the deterministic decision core.  Items
-  enter in arrival order; a batch flushes when it reaches
-  ``max_batch`` items or when ``max_wait_ms`` has elapsed since the
-  *first* pending item (never per-item — a steady trickle cannot
-  postpone a flush forever).  With a
-  :class:`~repro.utils.clock.FakeClock` every flush boundary is exact,
-  which is what the determinism tests pin.
-* :class:`MicroBatcher` — the asyncio glue: ``submit()`` parks the
-  caller on a future, full batches dispatch immediately, and a single
-  timer task flushes stragglers at the deadline.  Dispatch runs the
-  batch through :meth:`RecommendationService.recommend_batch
-  <repro.serving.service.RecommendationService.recommend_batch>` on a
-  worker thread so the event loop never blocks on scoring.
+Head-of-line bound: a queued request waits for at most one batch, the
+one in flight when it arrived (more only when over ``max_batch``
+requests are queued ahead of it).  The service's default threaded
+executor cuts that batch off at its deadline — the smallest
+``deadline_ms`` in the batch, the service default (50 ms) when none is
+given, capped at the edge by
+:attr:`~repro.edge.http.EdgeConfig.max_deadline_ms`.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.serving.schema import ServedResponse
 from repro.serving.tiers import RecommendationRequest
-from repro.utils.clock import Clock, as_clock
 from repro.utils.exceptions import ConfigError
 
 
@@ -37,85 +38,22 @@ class CoalesceConfig:
     Attributes
     ----------
     max_batch:
-        Flush as soon as this many requests are pending.
-    max_wait_ms:
-        Flush a non-empty buffer this long after its first request
-        arrived, full or not — the latency cost a request can pay for
-        batching is bounded by this.
+        Most requests one dispatch carries; a longer queue drains in
+        arrival-order batches of this size.
     """
 
     max_batch: int = 16
-    max_wait_ms: float = 2.0
 
     def __post_init__(self):
         if self.max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ConfigError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
-
-
-class CoalesceBuffer:
-    """Deterministic FIFO micro-batching core (no asyncio, no threads).
-
-    ``add`` returns the flushed batch when the arrival filled it;
-    ``poll`` returns the flushed batch when the wait deadline passed.
-    Batches always preserve arrival order, so downstream responses can
-    be matched back to callers positionally.
-    """
-
-    def __init__(self, config: CoalesceConfig, *, clock: Clock | None = None):
-        self.config = config
-        self.clock = as_clock(clock)
-        self._pending: list[Any] = []
-        self._first_at: float | None = None
-        self.flushes_full_ = 0
-        self.flushes_timed_ = 0
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def add(self, item: Any) -> list[Any] | None:
-        """Enqueue; returns the batch if this arrival filled it."""
-        if not self._pending:
-            self._first_at = self.clock.monotonic()
-        self._pending.append(item)
-        if len(self._pending) >= self.config.max_batch:
-            self.flushes_full_ += 1
-            return self._drain()
-        return None
-
-    def poll(self) -> list[Any] | None:
-        """Returns the batch if the oldest pending item is past its wait."""
-        if not self._pending or self._first_at is None:
-            return None
-        waited_ms = (self.clock.monotonic() - self._first_at) * 1000.0
-        if waited_ms >= self.config.max_wait_ms:
-            self.flushes_timed_ += 1
-            return self._drain()
-        return None
-
-    def flush(self) -> list[Any]:
-        """Unconditionally drain (server shutdown)."""
-        return self._drain()
-
-    def wait_remaining_ms(self) -> float | None:
-        """Milliseconds until the pending batch is due (None when empty)."""
-        if not self._pending or self._first_at is None:
-            return None
-        waited_ms = (self.clock.monotonic() - self._first_at) * 1000.0
-        return max(0.0, self.config.max_wait_ms - waited_ms)
-
-    def _drain(self) -> list[Any]:
-        batch, self._pending = self._pending, []
-        self._first_at = None
-        return batch
 
 
 BatchRunner = Callable[[Sequence[RecommendationRequest]], Sequence[ServedResponse]]
 
 
 class MicroBatcher:
-    """Asyncio front half of the coalescer.
+    """Asyncio coalescer with at most one batch in flight.
 
     ``runner`` is the synchronous batch call (normally
     ``service.recommend_batch``); it is executed via
@@ -129,56 +67,38 @@ class MicroBatcher:
         runner: BatchRunner,
         config: CoalesceConfig | None = None,
         *,
-        clock: Clock | None = None,
         executor: Any = None,
     ):
         self.config = config or CoalesceConfig()
-        self.buffer = CoalesceBuffer(self.config, clock=clock)
         self.runner = runner
         self.executor = executor
         self.batches_dispatched_ = 0
-        self._timer: asyncio.Task | None = None
+        self._queue: deque[tuple[RecommendationRequest, asyncio.Future]] = deque()
+        self._drain_task: asyncio.Task | None = None
 
     async def submit(self, request: RecommendationRequest) -> ServedResponse:
-        """Park on the coalescer; resolves with this request's response."""
+        """Queue ``request``; resolves with its response."""
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        batch = self.buffer.add((request, future))
-        if batch is not None:
-            self._cancel_timer()
-            # Shielded: this caller cancelling (dropped connection) must
-            # not orphan the other callers parked on the same batch.
-            await asyncio.shield(self._dispatch(batch))
-        elif self._timer is None or self._timer.done():
-            self._timer = loop.create_task(self._flush_after_wait())
+        self._queue.append((request, future))
+        if self._drain_task is None:
+            self._drain_task = loop.create_task(self._drain())
+        # The drain task, not this caller, owns the dispatch: a caller
+        # cancelling (dropped connection) cancels only its own future.
         return await future
 
     async def close(self) -> None:
-        """Flush any stragglers and stop the timer."""
-        self._cancel_timer()
-        batch = self.buffer.flush()
-        if batch:
-            await self._dispatch(batch)
+        """Wait for the batch in flight and everything queued behind it."""
+        if self._drain_task is not None:
+            await asyncio.shield(self._drain_task)
 
-    async def _flush_after_wait(self) -> None:
-        while True:
-            remaining_ms = self.buffer.wait_remaining_ms()
-            if remaining_ms is None:
-                return
-            if remaining_ms > 0:
-                await asyncio.sleep(remaining_ms / 1000.0)
-            batch = self.buffer.poll()
-            if batch is not None:
-                # Shielded: _cancel_timer (a concurrent full-batch
-                # flush) must not kill a dispatch already in flight.
-                # Loop (not return): requests that arrived *during*
-                # the dispatch await still need their own flush.
-                await asyncio.shield(self._dispatch(batch))
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None and not self._timer.done():
-            self._timer.cancel()
-        self._timer = None
+    async def _drain(self) -> None:
+        try:
+            while self._queue:
+                size = min(len(self._queue), self.config.max_batch)
+                await self._dispatch([self._queue.popleft() for _ in range(size)])
+        finally:
+            self._drain_task = None
 
     async def _dispatch(self, batch: list) -> None:
         self.batches_dispatched_ += 1

@@ -20,10 +20,11 @@ Design points:
   :mod:`repro.edge.schema`; schema failures return a typed
   :class:`~repro.edge.schema.ErrorResponseV1` with field paths, never a
   bare 500;
-* **coalescing** — single requests park in a
-  :class:`~repro.edge.coalesce.MicroBatcher` and flush into one
-  ``recommend_batch`` call (flush on max-batch or max-wait on the
-  injectable clock), so concurrent singles share one scoring pass, not N;
+* **coalescing** — single requests queue in a
+  :class:`~repro.edge.coalesce.MicroBatcher`, which keeps one
+  ``recommend_batch`` call in flight: an idle edge dispatches a request
+  at once, a busy one batches the requests that queued behind the batch
+  in flight, so concurrent singles share one scoring pass, not N;
 * **deadline propagation** — a request's ``deadline_ms`` (capped by
   :attr:`EdgeConfig.max_deadline_ms`) flows straight into the service's
   per-request :class:`~repro.serving.deadline.Deadline` budget;
@@ -219,8 +220,7 @@ class EdgeServer:
             max_workers=self.config.workers, thread_name_prefix="repro-edge"
         )
         self._batcher = MicroBatcher(
-            self.service.recommend_batch, self.config.coalesce,
-            clock=self.clock, executor=self._pool,
+            self.service.recommend_batch, self.config.coalesce, executor=self._pool
         )
         self._connections = 0
         self._inflight = 0

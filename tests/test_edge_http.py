@@ -89,7 +89,7 @@ def edge(stack):
     _, _, service = stack
     server = EdgeServer(
         service,
-        config=EdgeConfig(workers=2, coalesce=CoalesceConfig(max_batch=8, max_wait_ms=1.0)),
+        config=EdgeConfig(workers=2, coalesce=CoalesceConfig(max_batch=8)),
     )
     with EdgeServerThread(server) as (host, port):
         yield host, port
@@ -384,9 +384,9 @@ class TestLoadgenAgainstLiveServer:
     def test_chaos_events_fire_on_the_schedule_clock(self, stack):
         """A slowed edge still degrades exactly the arrivals between the events.
 
-        The schedule packs 60 arrivals into 6 ms while every single
-        request waits 4 ms in the coalescer, so the run lasts far longer
-        than its schedule.  With one client, the fault must cover
+        The schedule packs 60 arrivals into 6 ms while one client sends
+        them one round trip at a time, so the run lasts far longer than
+        its schedule.  With one client, the fault must cover
         arrivals 20-39 and nothing else; the breaker never opens, so a
         degraded response can only come from the injected fault.
         """
@@ -411,7 +411,7 @@ class TestLoadgenAgainstLiveServer:
         ]
         server = EdgeServer(
             service,
-            config=EdgeConfig(workers=1, coalesce=CoalesceConfig(max_batch=8, max_wait_ms=4.0)),
+            config=EdgeConfig(workers=1, coalesce=CoalesceConfig(max_batch=8)),
         )
         try:
             with EdgeServerThread(server) as (host, port):
@@ -424,6 +424,46 @@ class TestLoadgenAgainstLiveServer:
         assert report.duration_s > 10 * schedule[-1].at_s
         degraded = [outcome.degraded for outcome in report.outcomes]
         assert degraded == [20 <= i < 40 for i in range(60)]
+
+
+    def test_stuck_batch_delays_the_next_by_one_deadline(self, stack):
+        """Head-of-line bound of the coalescer.
+
+        The personalized tier sleeps six deadlines.  Request A's batch is
+        cut off at its deadline; B, sent while A is in flight, queues
+        behind it and then gets its own batch, cut off the same way.  So
+        B waits for one batch and answers a 200 fallback within about
+        two deadlines, long before the tier wakes up.
+        """
+        matrix, model, _ = stack
+        deadline_ms = 100.0
+        chaos = ServiceFaultInjector().inject("personalized", latency_ms=6 * deadline_ms)
+        service = RecommendationService.build(
+            model,
+            matrix,
+            config=ServiceConfig(
+                default_deadline_ms=deadline_ms, breaker=BreakerConfig(min_calls=10_000)
+            ),
+            executor=ThreadedExecutor(max_workers=4),
+            chaos=chaos,
+        )
+        schedule = [
+            ScheduledRequest(at_s=0.0, user=0, k=3, deadline_ms=deadline_ms),
+            ScheduledRequest(at_s=0.02, user=1, k=3, deadline_ms=deadline_ms),
+        ]
+        server = EdgeServer(
+            service, config=EdgeConfig(workers=2, coalesce=CoalesceConfig(max_batch=8))
+        )
+        try:
+            with EdgeServerThread(server) as (host, port):
+                report = run_load_sync(host, port, schedule, concurrency=2)
+        finally:
+            service.close()
+        assert report.failed == 0
+        assert [outcome.status for outcome in report.outcomes] == [200, 200]
+        assert all(outcome.served_by != "personalized" for outcome in report.outcomes)
+        assert server._batcher.batches_dispatched_ == 2  # B queued behind A
+        assert report.outcomes[1].latency_ms < 2 * deadline_ms + 100.0
 
 
 class TestReadiness:
