@@ -1,22 +1,27 @@
 """Request coalescing: single requests micro-batched into one scoring call.
 
-Work-conserving, with no timer: :meth:`MicroBatcher.submit` parks the
-caller on a future in a FIFO and, when no drain task is running, starts
-one.  The drain task takes up to ``max_batch`` queued requests at a
-time, runs them through :meth:`RecommendationService.recommend_batch
-<repro.serving.service.RecommendationService.recommend_batch>` on a
-worker thread (so the event loop never blocks on scoring), and loops
-until the queue is empty.  Each batcher has at most one batch in
-flight, so an idle edge answers a request at once and a busy edge
-batches exactly the requests that queued behind the batch in flight.
+Work-conserving, with no coalescing timer: :meth:`MicroBatcher.submit`
+parks the caller on a future in a FIFO and, when no drain task is
+running, starts one.  The drain task takes up to ``max_batch`` queued
+requests at a time, hands them whole to a serving thread of the
+service's executor (:meth:`RecommendationService.hand_off
+<repro.serving.service.RecommendationService.hand_off>`, one
+``queue.SimpleQueue`` hop; ``loop.call_soon_threadsafe`` brings the
+answers back), so the event loop never runs a tier, and loops until
+the queue is empty.  Each batcher has at most one batch in flight, so
+an idle edge answers a request at once and a busy edge batches exactly
+the requests that queued behind the batch in flight.
 
-Head-of-line bound: a queued request waits for at most one batch, the
-one in flight when it arrived (more only when over ``max_batch``
-requests are queued ahead of it).  The service's default threaded
-executor cuts that batch off at its deadline — the smallest
-``deadline_ms`` in the batch, the service default (50 ms) when none is
-given, capped at the edge by
-:attr:`~repro.edge.http.EdgeConfig.max_deadline_ms`.
+The event loop cuts a stuck batch off.  It arms one ``loop.call_at``
+timer at the batch deadline — the smallest ``deadline_ms`` in the
+batch, the service default (50 ms) when none is given, capped at the
+edge by :attr:`~repro.edge.http.EdgeConfig.max_deadline_ms`.  When it
+fires first, the flight's ``cut_off()`` settles the tier in flight as a
+timeout, keeps the answers earlier tiers produced and answers the rest
+from the static-popularity path; the next batch goes to a fresh serving
+thread.  So a queued request waits for at most one batch, the one in
+flight when it arrived (more only when over ``max_batch`` requests are
+queued ahead of it), and that batch for at most its deadline.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro.serving.deadline import InlineExecutor
 from repro.serving.schema import ServedResponse
 from repro.serving.tiers import RecommendationRequest
 from repro.utils.exceptions import ConfigError
@@ -52,26 +58,30 @@ class CoalesceConfig:
 BatchRunner = Callable[[Sequence[RecommendationRequest]], Sequence[ServedResponse]]
 
 
+class _Runner:
+    """A plain batch callable behind the same hand-off, with no deadline."""
+
+    def __init__(self, runner: BatchRunner):
+        self.runner = runner
+        self.executor = InlineExecutor()
+
+    def hand_off(self, requests: Sequence, done: Callable[[Any], None]) -> None:
+        self.executor.hand_off(lambda: list(self.runner(requests)), done)
+
+
 class MicroBatcher:
     """Asyncio coalescer with at most one batch in flight.
 
-    ``runner`` is the synchronous batch call (normally
-    ``service.recommend_batch``); it is executed via
-    ``loop.run_in_executor`` on ``executor`` so scoring happens off the
-    event loop.  All futures of a dispatched batch resolve from one
-    runner call, in arrival order.
+    ``service`` is normally the
+    :class:`~repro.serving.service.RecommendationService`; a plain
+    synchronous batch callable works too, on a serving thread of its
+    own and with no deadline.  All futures of a dispatched batch
+    resolve from one hand-off, in arrival order.
     """
 
-    def __init__(
-        self,
-        runner: BatchRunner,
-        config: CoalesceConfig | None = None,
-        *,
-        executor: Any = None,
-    ):
+    def __init__(self, service: Any, config: CoalesceConfig | None = None):
         self.config = config or CoalesceConfig()
-        self.runner = runner
-        self.executor = executor
+        self.service = service if hasattr(service, "hand_off") else _Runner(service)
         self.batches_dispatched_ = 0
         self._queue: deque[tuple[RecommendationRequest, asyncio.Future]] = deque()
         self._drain_task: asyncio.Task | None = None
@@ -104,15 +114,39 @@ class MicroBatcher:
         self.batches_dispatched_ += 1
         requests = [request for request, _ in batch]
         loop = asyncio.get_running_loop()
+        answered: asyncio.Future = loop.create_future()
+
+        def answer(result: Any) -> None:
+            if not answered.done():
+                answered.set_result(result)
+
+        def done(result: Any) -> None:  # on the serving thread
+            try:
+                loop.call_soon_threadsafe(answer, result)
+            except RuntimeError:
+                pass  # the loop has closed: nobody waits for this batch any more
+
+        def cut_off() -> None:
+            responses = flight.cut_off()
+            if responses is not None:
+                answer(responses)
+
+        timer = None
         try:
-            responses = await loop.run_in_executor(
-                self.executor, lambda: list(self.runner(requests))
-            )
+            flight = self.service.hand_off(requests, done)
+            if flight is not None:
+                timer = loop.call_at(loop.time() + flight.deadline.budget_ms / 1000.0, cut_off)
+            result = await answered
         except Exception as error:  # noqa: BLE001 - fan the failure out to callers
+            result = error
+        finally:
+            if timer is not None:
+                timer.cancel()
+        if isinstance(result, BaseException):
             for _, future in batch:
                 if not future.done():
-                    future.set_exception(error)
+                    future.set_exception(result)
             return
-        for (_, future), response in zip(batch, responses):
+        for (_, future), response in zip(batch, result):
             if not future.done():
                 future.set_result(response)

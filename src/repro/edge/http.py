@@ -21,13 +21,15 @@ Design points:
   :class:`~repro.edge.schema.ErrorResponseV1` with field paths, never a
   bare 500;
 * **coalescing** — single requests queue in a
-  :class:`~repro.edge.coalesce.MicroBatcher`, which keeps one
-  ``recommend_batch`` call in flight: an idle edge dispatches a request
-  at once, a busy one batches the requests that queued behind the batch
-  in flight, so concurrent singles share one scoring pass, not N;
+  :class:`~repro.edge.coalesce.MicroBatcher`, which keeps one batch in
+  flight: an idle edge dispatches a request at once, a busy one batches
+  the requests that queued behind the batch in flight, so concurrent
+  singles share one scoring pass, not N.  Each batch is one hand-off to
+  a serving thread of the service's executor; the loop runs no tier;
 * **deadline propagation** — a request's ``deadline_ms`` (capped by
   :attr:`EdgeConfig.max_deadline_ms`) flows straight into the service's
-  per-request :class:`~repro.serving.deadline.Deadline` budget;
+  per-request :class:`~repro.serving.deadline.Deadline` budget, and the
+  event loop cuts a coalesced batch off at that deadline;
 * **load shedding** — beyond :attr:`EdgeConfig.max_inflight` concurrent
   requests the server answers 429 immediately; beyond
   :attr:`EdgeConfig.max_connections` open sockets, or while draining,
@@ -111,6 +113,9 @@ class EdgeConfig:
     default_deadline_ms: float | None = None  # None = service default
     idle_timeout_s: float = 30.0
     workers: int = 8
+    """Threads for WAL appends and the explicit ``/v1/recommend/batch``
+    route only.  Coalesced single requests run on the serving threads of
+    the service's executor (``max_workers`` of them)."""
     coalesce: CoalesceConfig = field(default_factory=CoalesceConfig)
     retry_after_s: float = 1.0  # Retry-After hint on every 429/503 shed
     # Highest feedback user id accepted = served n_users + this headroom.
@@ -219,9 +224,7 @@ class EdgeServer:
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="repro-edge"
         )
-        self._batcher = MicroBatcher(
-            self.service.recommend_batch, self.config.coalesce, executor=self._pool
-        )
+        self._batcher = MicroBatcher(self.service, self.config.coalesce)
         self._connections = 0
         self._inflight = 0
         self._draining = False

@@ -28,12 +28,20 @@ If every tier is open, erroring, or out of budget, the request is still
 answered from a precomputed static popularity ranking — the service
 never raises on the request path and never returns an empty list (the
 zero-failed-requests property the chaos suite enforces).
+
+:meth:`~RecommendationService.hand_off` runs the same cascade for a
+batch on a serving thread of the executor, where tier calls run inline.
+The cascade publishes its progress on the batch's :class:`BatchFlight`,
+and the caller enforces the deadline by calling
+:meth:`BatchFlight.cut_off`: the tier call in flight is settled as one
+timeout, earlier answers are kept, and the rest of the batch gets the
+static ranking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +52,13 @@ from repro.models.itemknn import ItemKNN
 from repro.obs.registry import MetricsRegistry, as_registry
 from repro.serving.breaker import BreakerConfig, CircuitBreaker
 from repro.utils.clock import Clock, as_clock
-from repro.serving.deadline import BudgetExecutor, Deadline, ThreadedExecutor
+from repro.serving.deadline import (
+    BudgetExecutor,
+    Deadline,
+    Flight,
+    ThreadedExecutor,
+    current_flight,
+)
 from repro.serving.reload import ModelSlot
 from repro.serving.schema import ServedResponse
 from repro.serving.tiers import (
@@ -269,42 +283,70 @@ class RecommendationService:
         outcome, so a batch of N moves them exactly as N single
         requests would.  A request the tier failed moves on to the next
         tier; one no tier answers gets the static popularity ranking.
+
+        On a serving thread running the :class:`BatchFlight` of these
+        very ``requests`` (see :meth:`hand_off`), the cascade publishes
+        its progress there, and a cut-off answers the batch instead.
         """
-        batch = [
-            request
-            if isinstance(request, RecommendationRequest)
-            else RecommendationRequest(user=int(request), k=k or 5)
-            for request in requests
-        ]
-        if not batch:
+        flight = current_flight()
+        if not isinstance(flight, BatchFlight) or flight.requests is not requests:
+            flight = BatchFlight(self, requests, k)
+        if not flight.batch:
             return []
-        deadline = Deadline(
-            min(request.deadline_ms or self.config.default_deadline_ms for request in batch),
-            clock=self.clock,
-        )
-        self.requests_served_ += len(batch)
         if self._degraded_mode:
-            reason = {"degraded_mode": self._degraded_reason or "forced"}
-            return [self._emergency_response(r, deadline, dict(reason)) for r in batch]
-        errors: list[dict[str, str]] = [{} for _ in batch]
-        responses: list[ServedResponse | None] = [None] * len(batch)
+            with flight.lock:
+                if not flight.cut:
+                    for errors in flight.errors:
+                        errors["degraded_mode"] = self._degraded_reason or "forced"
+                    flight.position = len(self.tiers)
+        else:
+            self._cascade(flight)
+        return flight.finish()
+
+    def hand_off(
+        self,
+        requests: Sequence[RecommendationRequest],
+        done: Callable[[Any], None],
+    ) -> BatchFlight:
+        """Serve ``requests`` on one of the executor's serving threads.
+
+        ``done`` receives the responses there (or the exception).  The
+        caller enforces the deadline: at ``flight.deadline`` it calls
+        ``cut_off()`` on the returned flight, which answers the batch
+        without waiting for the tier in flight.
+        """
+        flight = BatchFlight(self, requests)
+        self.executor.hand_off(lambda: self.recommend_batch(requests), done, flight)
+        return flight
+
+    def _cascade(self, flight: BatchFlight) -> None:
+        """Walk the tiers for ``flight``, publishing each step under its lock."""
+        batch, deadline = flight.batch, flight.deadline
+        errors, responses = flight.errors, flight.responses
         pending = list(range(len(batch)))
-        for tier in self.tiers:
-            remaining = deadline.remaining_ms()
-            if remaining <= 0:
+        for position, tier in enumerate(self.tiers):
+            with flight.lock:
+                if flight.cut:
+                    return
+                remaining = deadline.remaining_ms()
+                if remaining <= 0:
+                    for index in pending:
+                        errors[index][tier.name] = "deadline exhausted"
+                    flight.position = len(self.tiers)
+                    return
+                admitted = []
                 for index in pending:
-                    errors[index][tier.name] = "deadline exhausted"
-                break
-            admitted = []
-            for index in pending:
-                shard_breaker = self._shard_breaker_for(tier, batch[index])
-                skip = self._skip(tier, batch[index], shard_breaker)
-                if skip is None:
-                    admitted.append((index, shard_breaker))
-                else:
-                    errors[index][tier.name] = skip
-            if not admitted:
-                continue
+                    shard_breaker = self._shard_breaker_for(tier, batch[index])
+                    skip = self._skip(tier, batch[index], shard_breaker)
+                    if skip is None:
+                        admitted.append((index, shard_breaker))
+                    else:
+                        errors[index][tier.name] = skip
+                if not admitted:
+                    flight.position = position + 1
+                    continue
+                flight.admitted = admitted
+                flight.open_call(remaining)
             group = [batch[index] for index, _ in admitted]
             try:
                 outcomes, latency_ms = self.executor.call(
@@ -313,24 +355,26 @@ class RecommendationService:
                 )
             except Exception as error:  # noqa: BLE001 - cascade boundary
                 outcomes, latency_ms = [error] * len(group), 0.0
-            for (index, shard_breaker), outcome in zip(admitted, outcomes):
-                error = self._settle(tier, shard_breaker, outcome, latency_ms)
-                if error is not None:
-                    errors[index][tier.name] = error
-                    continue
-                self.obs.histogram("serving_tier_latency_ms", tier=tier.name).observe(latency_ms)
-                responses[index] = self._respond(
-                    batch[index], outcome, tier.name, deadline, errors[index]
-                )
+            with flight.lock:
+                if flight.cut:
+                    return  # the cut-off settled this call
+                flight.close_call()
+                flight.admitted = []
+                flight.position = position + 1
+                for (index, shard_breaker), outcome in zip(admitted, outcomes):
+                    error = self._settle(tier, shard_breaker, outcome, latency_ms)
+                    if error is not None:
+                        errors[index][tier.name] = error
+                        continue
+                    self.obs.histogram("serving_tier_latency_ms", tier=tier.name).observe(
+                        latency_ms
+                    )
+                    responses[index] = self._respond(
+                        batch[index], outcome, tier.name, deadline, errors[index]
+                    )
             pending = [index for index in pending if responses[index] is None]
             if not pending:
-                break
-        return [
-            response
-            if response is not None
-            else self._emergency_response(batch[index], deadline, errors[index])
-            for index, response in enumerate(responses)
-        ]
+                return
 
     def _skip(
         self,
@@ -492,3 +536,80 @@ class RecommendationService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class BatchFlight(Flight):
+    """One batch through the cascade, published for a deadline cut-off.
+
+    The cascade records the next tier to run (``position``) and, while a
+    tier call is in flight, the requests it admitted, all under
+    :attr:`lock`.  :meth:`cut_off` (the edge's deadline timer) settles
+    that call as a timeout, keeps the answers earlier tiers produced and
+    answers the rest from the static-popularity path, with the
+    ``tier_errors`` a per-tier cut-off produces.  Whichever side takes
+    the lock first settles a tier call; the other leaves it alone.
+    """
+
+    def __init__(
+        self,
+        service: RecommendationService,
+        requests: Sequence[RecommendationRequest | int],
+        k: int | None = None,
+    ):
+        super().__init__(service.executor)
+        self.service = service
+        self.requests = requests
+        self.batch = [
+            request
+            if isinstance(request, RecommendationRequest)
+            else RecommendationRequest(user=int(request), k=k or 5)
+            for request in requests
+        ]
+        self.deadline = Deadline(
+            min(
+                (r.deadline_ms or service.config.default_deadline_ms for r in self.batch),
+                default=service.config.default_deadline_ms,
+            ),
+            clock=service.clock,
+        )
+        service.requests_served_ += len(self.batch)
+        self.errors: list[dict[str, str]] = [{} for _ in self.batch]
+        self.responses: list[ServedResponse | None] = [None] * len(self.batch)
+        self.position = 0
+        self.admitted: list[tuple[int, CircuitBreaker | None]] = []
+        self.finished = False
+
+    def cut_off(self) -> list[ServedResponse] | None:
+        """Answer the batch now; ``None`` when it finished or was cut already."""
+        with self.lock:
+            if self.finished or self.cut:
+                return None
+            error = self.cut_call()
+            tiers = self.service.tiers
+            position = self.position
+            if self.admitted:
+                assert error is not None  # the call opened with the admission
+                tier = tiers[position]
+                for index, shard_breaker in self.admitted:
+                    message = self.service._settle(tier, shard_breaker, error, 0.0)
+                    self.errors[index][tier.name] = message or ""
+                position += 1
+            if position < len(tiers):
+                for index, response in enumerate(self.responses):
+                    if response is None:
+                        self.errors[index][tiers[position].name] = "deadline exhausted"
+            return self._answer()
+
+    def finish(self) -> list[ServedResponse]:
+        """The cascade's answers, or the cut-off's when it came first."""
+        with self.lock:
+            self.finished = True
+            return self._answer()
+
+    def _answer(self) -> list[ServedResponse]:
+        for index, response in enumerate(self.responses):
+            if response is None:
+                self.responses[index] = self.service._emergency_response(
+                    self.batch[index], self.deadline, self.errors[index]
+                )
+        return [response for response in self.responses if response is not None]

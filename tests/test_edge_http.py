@@ -384,9 +384,9 @@ class TestLoadgenAgainstLiveServer:
     def test_chaos_events_fire_on_the_schedule_clock(self, stack):
         """A slowed edge still degrades exactly the arrivals between the events.
 
-        The schedule packs 60 arrivals into 6 ms while one client sends
+        The schedule packs 60 arrivals into 0.6 ms while one client sends
         them one round trip at a time, so the run lasts far longer than
-        its schedule.  With one client, the fault must cover
+        its schedule on any host.  With one client, the fault must cover
         arrivals 20-39 and nothing else; the breaker never opens, so a
         degraded response can only come from the injected fault.
         """
@@ -403,7 +403,7 @@ class TestLoadgenAgainstLiveServer:
         )
         warm_users = [0, 1, 2]
         schedule = [
-            ScheduledRequest(at_s=i * 1e-4, user=warm_users[i % 3], k=3) for i in range(60)
+            ScheduledRequest(at_s=i * 1e-5, user=warm_users[i % 3], k=3) for i in range(60)
         ]
         events = [
             ChaosEvent(at_s=schedule[20].at_s, action="exception"),
