@@ -189,9 +189,10 @@ class RecommendationService:
         """Assemble the standard four-tier cascade around ``model``.
 
         ``knn`` may be a pre-fitted :class:`ItemKNN`; with ``fit_knn``
-        (the default) one is fitted here when not supplied.  Pass
-        ``fit_knn=False`` to skip that tier (large catalogs where the
-        item-item matrix is not worth building).
+        (the default) one is fitted here when not supplied.  The fit
+        keeps a sparse top-k similarity in O(k·m) memory, but its time
+        grows with m², so pass ``fit_knn=False`` to skip that tier on
+        very wide catalogs.
         """
         slot = ModelSlot(model, version=version, chaos=chaos, clock=clock)
         tiers: list[ServingTier] = [PersonalizedTier(slot, train)]
