@@ -12,11 +12,12 @@ the queue is empty.  Each batcher has at most one batch in flight, so
 an idle edge answers a request at once and a busy edge batches exactly
 the requests that queued behind the batch in flight.
 
-The event loop cuts a stuck batch off.  It arms one ``loop.call_at``
-timer at the batch deadline — the smallest ``deadline_ms`` in the
-batch, the service default (50 ms) when none is given, capped at the
-edge by :attr:`~repro.edge.http.EdgeConfig.max_deadline_ms`.  When it
-fires first, the flight's ``cut_off()`` settles the tier in flight as a
+The event loop cuts a stuck batch off (:func:`serve_handed_off`, also
+behind ``/v1/recommend/batch``).  It arms one ``loop.call_at`` timer at
+the batch deadline — the smallest ``deadline_ms`` in the batch, the
+service default (50 ms) when none is given, capped at the edge by
+:attr:`~repro.edge.http.EdgeConfig.max_deadline_ms`.  When it fires
+first, the flight's ``cut_off()`` settles the tier in flight as a
 timeout, keeps the answers earlier tiers produced and answers the rest
 from the static-popularity path; the next batch goes to a fresh serving
 thread.  So a queued request waits for at most one batch, the one in
@@ -112,41 +113,52 @@ class MicroBatcher:
 
     async def _dispatch(self, batch: list) -> None:
         self.batches_dispatched_ += 1
-        requests = [request for request, _ in batch]
-        loop = asyncio.get_running_loop()
-        answered: asyncio.Future = loop.create_future()
-
-        def answer(result: Any) -> None:
-            if not answered.done():
-                answered.set_result(result)
-
-        def done(result: Any) -> None:  # on the serving thread
-            try:
-                loop.call_soon_threadsafe(answer, result)
-            except RuntimeError:
-                pass  # the loop has closed: nobody waits for this batch any more
-
-        def cut_off() -> None:
-            responses = flight.cut_off()
-            if responses is not None:
-                answer(responses)
-
-        timer = None
         try:
-            flight = self.service.hand_off(requests, done)
-            if flight is not None:
-                timer = loop.call_at(loop.time() + flight.deadline.budget_ms / 1000.0, cut_off)
-            result = await answered
+            result = await serve_handed_off(self.service, [request for request, _ in batch])
         except Exception as error:  # noqa: BLE001 - fan the failure out to callers
-            result = error
-        finally:
-            if timer is not None:
-                timer.cancel()
-        if isinstance(result, BaseException):
             for _, future in batch:
                 if not future.done():
-                    future.set_exception(result)
+                    future.set_exception(error)
             return
         for (_, future), response in zip(batch, result):
             if not future.done():
                 future.set_result(response)
+
+
+async def serve_handed_off(service: Any, requests: Sequence[RecommendationRequest]) -> list:
+    """Serve ``requests`` on a serving thread; cut the batch off at its deadline.
+
+    ``service.hand_off`` returns the batch's flight, or ``None`` for a
+    runner with no deadline.  Returns (or raises) whichever answer comes
+    first: the serving thread's, or the cut-off's.
+    """
+    loop = asyncio.get_running_loop()
+    answered: asyncio.Future = loop.create_future()
+
+    def answer(result: Any) -> None:
+        if not answered.done():
+            answered.set_result(result)
+
+    def done(result: Any) -> None:  # on the serving thread
+        try:
+            loop.call_soon_threadsafe(answer, result)
+        except RuntimeError:
+            pass  # the loop has closed: nobody waits for this batch any more
+
+    def cut_off() -> None:
+        responses = flight.cut_off()
+        if responses is not None:
+            answer(responses)
+
+    timer = None
+    try:
+        flight = service.hand_off(requests, done)
+        if flight is not None:
+            timer = loop.call_at(loop.time() + flight.deadline.budget_ms / 1000.0, cut_off)
+        result = await answered
+    finally:
+        if timer is not None:
+            timer.cancel()
+    if isinstance(result, BaseException):
+        raise result
+    return result

@@ -8,7 +8,7 @@ method    path                        behavior
 ========  ==========================  =======================================
 POST      ``/v1/recommend``           one request; coalesced + micro-batched
 GET       ``/v1/recommend``           same, query-string form (curl-friendly)
-POST      ``/v1/recommend/batch``     explicit batch → ``recommend_batch``
+POST      ``/v1/recommend/batch``     explicit batch, handed off uncoalesced
 POST      ``/v1/feedback``            durable WAL append (when ``wal=`` given)
 GET       ``/v1/health``              liveness + breakers + model staleness
 GET       ``/v1/metrics``             Prometheus text (``repro.obs`` export)
@@ -29,7 +29,7 @@ Design points:
 * **deadline propagation** — a request's ``deadline_ms`` (capped by
   :attr:`EdgeConfig.max_deadline_ms`) flows straight into the service's
   per-request :class:`~repro.serving.deadline.Deadline` budget, and the
-  event loop cuts a coalesced batch off at that deadline;
+  event loop cuts a batch, coalesced or explicit, off at that deadline;
 * **load shedding** — beyond :attr:`EdgeConfig.max_inflight` concurrent
   requests the server answers 429 immediately; beyond
   :attr:`EdgeConfig.max_connections` open sockets, or while draining,
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Coroutine
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.edge.coalesce import CoalesceConfig, MicroBatcher
+from repro.edge.coalesce import CoalesceConfig, MicroBatcher, serve_handed_off
 from repro.edge.schema import (
     API_VERSION,
     ERROR_DRAINING,
@@ -113,9 +113,9 @@ class EdgeConfig:
     default_deadline_ms: float | None = None  # None = service default
     idle_timeout_s: float = 30.0
     workers: int = 8
-    """Threads for WAL appends and the explicit ``/v1/recommend/batch``
-    route only.  Coalesced single requests run on the serving threads of
-    the service's executor (``max_workers`` of them)."""
+    """Threads for WAL appends only.  Every recommendation, coalesced or
+    from ``/v1/recommend/batch``, runs on the serving threads of the
+    service's executor (``max_workers`` of them)."""
     coalesce: CoalesceConfig = field(default_factory=CoalesceConfig)
     retry_after_s: float = 1.0  # Retry-After hint on every 429/503 shed
     # Highest feedback user id accepted = served n_users + this headroom.
@@ -456,10 +456,7 @@ class EdgeServer:
         serving_requests = [
             self._clamp_deadline(item).to_serving() for item in parsed.requests
         ]
-        loop = asyncio.get_running_loop()
-        responses = await loop.run_in_executor(
-            self._pool, lambda: self.service.recommend_batch(serving_requests)
-        )
+        responses = await serve_handed_off(self.service, serving_requests)
         return HttpResponse(
             200, BatchRecommendResponseV1(responses=tuple(responses)).to_json_dict()
         )

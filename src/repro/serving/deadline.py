@@ -6,46 +6,38 @@ is cut off, recorded, and the request falls through to the next tier —
 the request never blocks on a sick tier for longer than its own
 deadline.
 
-Two executor strategies implement the ``call(fn, budget_ms)`` contract:
-
-* :class:`ThreadedExecutor` — called from an ordinary thread, it runs
-  the tier call on a worker pool and abandons it at the timeout
-  (``future.result(timeout=...)``).  Python threads cannot be killed,
-  so an abandoned call keeps running in the background until it
-  finishes; the pool is sized so a burst of stuck calls degrades to
-  breaker-open behavior instead of unbounded thread growth.  This is
-  the strategy for synchronous callers: a genuinely wedged
-  ``recommend_batch`` cannot stall the request.
-* :class:`InlineExecutor` — runs the call inline and raises
-  :class:`~repro.utils.exceptions.DeadlineExceeded` *after the fact*
-  when the measured latency exceeded the budget.  With a
-  :class:`~repro.utils.clock.FakeClock` this makes every deadline
-  path deterministic and sleep-free in tests; it cannot pre-empt a call
-  mid-flight.
-
-Both count overruns (``overruns_``/``overrun_ms_``) so the service can
-report how much deadline pressure each tier is causing.
+Every tier call goes through :meth:`BudgetExecutor.call`: it runs the
+call on the thread that makes it and raises
+:class:`~repro.utils.exceptions.DeadlineExceeded` *after the fact* when
+the measured latency exceeded the budget, counting the overrun
+(``overruns_``/``overrun_ms_``).  It cannot pre-empt a call mid-flight;
+whoever waits for the batch does that (below).
 
 **Serving threads.**  Every executor also owns up to ``max_workers``
 serving threads, fed through one :class:`queue.SimpleQueue` by
-:meth:`BudgetExecutor.hand_off`: the HTTP edge hands each coalesced
-batch over whole, with one lean hop, and the cascade runs there.  A
-``call`` made on a serving thread runs the tier inline and judges an
-overrun after the fact, as :class:`InlineExecutor` does; the caller
-enforces the deadline instead.  It holds the batch's :class:`Flight`
-and calls its cut-off at the deadline (the edge arms one event-loop
-timer), which charges the tier call in flight as one overrun and
-answers the batch without waiting for it.  A cut-off thread keeps
-running until its tier returns; later batches go to a fresh serving
-thread, never more than ``max_workers`` alive, wedged ones included.
+:meth:`BudgetExecutor.hand_off`: a caller hands a batch over whole,
+with one lean hop, and the cascade runs there.  The caller enforces the
+deadline.  It holds the batch's :class:`Flight` and calls its cut-off
+at the deadline (the edge arms one event-loop timer, a synchronous
+caller waits until then), which charges the tier call in flight as
+one overrun and answers the batch without waiting for it.  A cut-off
+thread keeps running until its tier returns (Python threads cannot be
+killed); later batches go to a fresh serving thread, never more than
+``max_workers`` alive, wedged ones included, so a burst of stuck calls
+queues behind them until the tier's breaker opens.
+
+The two executors differ in one choice only, made by the service for a
+synchronous batch: :class:`ThreadedExecutor` hands it off, so a wedged
+tier cannot stall the caller past its deadline;
+:class:`InlineExecutor` runs it on the caller's thread, which with a
+:class:`~repro.utils.clock.FakeClock` makes every deadline path
+deterministic and sleep-free in tests.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Callable, TypeVar
 
 from repro.utils.clock import Clock, as_clock
@@ -82,31 +74,21 @@ class Deadline:
 _serving = threading.local()
 
 
-def _cut_off(elapsed_ms: float, budget_ms: float) -> DeadlineExceeded:
-    """The timeout of a tier call abandoned at its deadline."""
-    return DeadlineExceeded(
-        f"tier call cut off after {elapsed_ms:.1f}ms "
-        f"(budget {budget_ms:.1f}ms); worker abandoned",
-        budget_ms=budget_ms,
-        elapsed_ms=elapsed_ms,
-    )
-
-
 def current_flight() -> Flight | None:
     """The flight the calling serving thread is running, if any."""
     return getattr(_serving, "flight", None)
 
 
 class BudgetExecutor:
-    """Interface: run ``fn`` under a millisecond budget.
+    """Run ``fn`` under a millisecond budget, and own the serving threads.
 
     ``call`` returns ``(result, latency_ms)`` or raises
     :class:`DeadlineExceeded`; exceptions raised by ``fn`` propagate
-    unchanged.  Overruns are counted on the executor.  The base class
-    also owns the serving threads behind :meth:`hand_off`.
+    unchanged.  Overruns are counted on the executor.  The serving
+    threads behind :meth:`hand_off` run whole batches.
     """
 
-    def __init__(self, *, clock: Clock | None = None, max_workers: int = 8):
+    def __init__(self, max_workers: int = 8, *, clock: Clock | None = None):
         if max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
         self.clock = as_clock(clock)
@@ -120,9 +102,6 @@ class BudgetExecutor:
         self._alive = 0
         self._idle = 0
         self._closed = False
-
-    def call(self, fn: Callable[[], T], budget_ms: float) -> tuple[T, float]:
-        raise NotImplementedError
 
     def hand_off(
         self,
@@ -168,7 +147,7 @@ class BudgetExecutor:
                 self._idle += 1
             done(result)
 
-    def _call_inline(self, fn: Callable[[], T], budget_ms: float) -> tuple[T, float]:
+    def call(self, fn: Callable[[], T], budget_ms: float) -> tuple[T, float]:
         """Run ``fn`` here; raise :class:`DeadlineExceeded` after an overrun."""
         start = self.clock.monotonic()
         result = fn()
@@ -250,50 +229,17 @@ class Flight:
         elapsed_ms = (self.executor.clock.monotonic() - start) * 1000.0
         if not charged:
             self.executor._count_overrun(max(0.0, elapsed_ms - budget_ms))
-        return _cut_off(elapsed_ms, budget_ms)
+        return DeadlineExceeded(
+            f"tier call cut off after {elapsed_ms:.1f}ms "
+            f"(budget {budget_ms:.1f}ms); worker abandoned",
+            budget_ms=budget_ms,
+            elapsed_ms=elapsed_ms,
+        )
 
 
 class InlineExecutor(BudgetExecutor):
-    """Run tier calls inline; enforce the budget by post-hoc measurement."""
-
-    def __init__(self, *, clock: Clock | None = None):
-        super().__init__(clock=clock)
-
-    def call(self, fn: Callable[[], T], budget_ms: float) -> tuple[T, float]:
-        return self._call_inline(fn, budget_ms)
+    """Run a synchronous batch on the caller's thread."""
 
 
 class ThreadedExecutor(BudgetExecutor):
-    """Run tier calls on a worker pool; cut them off at the budget.
-
-    The timed-out worker thread is abandoned, not killed (Python offers
-    no safe pre-emption), so ``max_workers`` bounds how many stuck calls
-    can pile up before new calls queue — by then the tier's breaker
-    will be open and the tier skipped entirely.  On a serving thread
-    the call runs inline instead (see the module docstring).
-    """
-
-    def __init__(self, max_workers: int = 8, *, clock: Clock | None = None):
-        super().__init__(clock=clock, max_workers=max_workers)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-serving"
-        )
-
-    def call(self, fn: Callable[[], T], budget_ms: float) -> tuple[T, float]:
-        if current_flight() is not None:
-            return self._call_inline(fn, budget_ms)
-        start = self.clock.monotonic()
-        future = self._pool.submit(fn)
-        try:
-            result = future.result(timeout=budget_ms / 1000.0)
-        except FutureTimeout:
-            future.cancel()
-            elapsed_ms = (self.clock.monotonic() - start) * 1000.0
-            self._count_overrun(max(0.0, elapsed_ms - budget_ms))
-            raise _cut_off(elapsed_ms, budget_ms) from None
-        latency_ms = (self.clock.monotonic() - start) * 1000.0
-        return result, latency_ms
-
-    def shutdown(self) -> None:
-        super().shutdown()
-        self._pool.shutdown(wait=False, cancel_futures=True)
+    """Hand a synchronous batch off to a serving thread, cut off at its deadline."""

@@ -35,11 +35,14 @@ The cascade publishes its progress on the batch's :class:`BatchFlight`,
 and the caller enforces the deadline by calling
 :meth:`BatchFlight.cut_off`: the tier call in flight is settled as one
 timeout, earlier answers are kept, and the rest of the batch gets the
-static ranking.
+static ranking.  Every caller is cut off this way: the edge from an
+event-loop timer, a synchronous caller on a
+:class:`~repro.serving.deadline.ThreadedExecutor` after waiting.
 """
 
 from __future__ import annotations
 
+import queue
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -285,12 +288,16 @@ class RecommendationService:
         requests would.  A request the tier failed moves on to the next
         tier; one no tier answers gets the static popularity ranking.
 
-        On a serving thread running the :class:`BatchFlight` of these
-        very ``requests`` (see :meth:`hand_off`), the cascade publishes
-        its progress there, and a cut-off answers the batch instead.
+        On a :class:`~repro.serving.deadline.ThreadedExecutor`, a caller
+        other than a serving thread hands the batch off (:meth:`hand_off`)
+        and cuts it off at its deadline.  On the serving thread running
+        the flight of these very ``requests``, the cascade publishes its
+        progress there.  Anywhere else it runs here.
         """
         flight = current_flight()
         if not isinstance(flight, BatchFlight) or flight.requests is not requests:
+            if flight is None and isinstance(self.executor, ThreadedExecutor):
+                return self._wait_handed_off(requests, k)
             flight = BatchFlight(self, requests, k)
         if not flight.batch:
             return []
@@ -306,19 +313,41 @@ class RecommendationService:
 
     def hand_off(
         self,
-        requests: Sequence[RecommendationRequest],
+        requests: Sequence[RecommendationRequest | int],
         done: Callable[[Any], None],
+        k: int | None = None,
     ) -> BatchFlight:
         """Serve ``requests`` on one of the executor's serving threads.
 
         ``done`` receives the responses there (or the exception).  The
         caller enforces the deadline: at ``flight.deadline`` it calls
         ``cut_off()`` on the returned flight, which answers the batch
-        without waiting for the tier in flight.
+        without waiting for the tier in flight.  After :meth:`close`,
+        ``done`` gets the static popularity answers at once.
         """
-        flight = BatchFlight(self, requests)
-        self.executor.hand_off(lambda: self.recommend_batch(requests), done, flight)
+        flight = BatchFlight(self, requests, k)
+        try:
+            self.executor.hand_off(lambda: self.recommend_batch(requests), done, flight)
+        except RuntimeError as error:  # the executor is shut down
+            for errors in flight.errors:
+                errors.update((tier.name, str(error)) for tier in self.tiers)
+            done(flight.finish())
         return flight
+
+    def _wait_handed_off(
+        self, requests: Sequence[RecommendationRequest | int], k: int | None
+    ) -> list[ServedResponse]:
+        """Hand the batch off and wait for it; cut it off at its deadline."""
+        results: queue.SimpleQueue = queue.SimpleQueue()
+        flight = self.hand_off(requests, results.put, k)
+        try:
+            result = results.get(timeout=max(0.0, flight.deadline.remaining_ms()) / 1000.0)
+        except queue.Empty:
+            # cut_off() is None when the batch finished as the deadline passed.
+            result = flight.cut_off() or results.get()
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def _cascade(self, flight: BatchFlight) -> None:
         """Walk the tiers for ``flight``, publishing each step under its lock."""

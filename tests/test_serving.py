@@ -1,8 +1,9 @@
 """Tests of the serving layer: deadlines, tiers, and the cascade.
 
 Deterministic paths (deadline arithmetic, cascade ordering, provenance)
-run on :class:`FakeClock` + :class:`InlineExecutor`; one test exercises
-the real :class:`ThreadedExecutor` cut-off with a genuinely slow call.
+run on :class:`FakeClock` + :class:`InlineExecutor`; one test cuts a
+synchronous ``recommend`` off at its deadline on the real
+:class:`ThreadedExecutor`, against a tier wedged far past it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.serving import (
     ThreadedExecutor,
 )
 from repro.store import ShardedFactorStore, StoreBackedModel, write_factor_store
+from repro.utils.clock import Timer
 from repro.utils.exceptions import ConfigError, DeadlineExceeded, TierError
 
 
@@ -161,16 +163,42 @@ class TestThreadedExecutor:
         finally:
             executor.shutdown()
 
-    def test_slow_call_cut_off_at_budget(self):
-        import time
+    def test_slow_call_cut_off_at_budget(self, split, bpr):
+        """A synchronous ``recommend`` returns at its deadline, not when the tier does."""
+        import threading
 
-        executor = ThreadedExecutor(max_workers=2)
+        from tests.test_serving_handoff import Wedge
+
+        deadline_ms = 30.0
+        wedge = Wedge("personalized")
+        service = RecommendationService.build(
+            bpr,
+            split.train,
+            config=ServiceConfig(
+                default_deadline_ms=deadline_ms, breaker=BreakerConfig(min_calls=10_000)
+            ),
+            executor=ThreadedExecutor(max_workers=2),
+            chaos=wedge,
+        )
+        user = int(warm_users(split.train)[0])
+        before = set(threading.enumerate())
         try:
-            with pytest.raises(DeadlineExceeded):
-                executor.call(lambda: time.sleep(0.5), 30.0)
-            assert executor.overruns_ == 1
+            with Timer() as timer:
+                response = service.recommend(RecommendationRequest(user=user, k=5))
+            wedged = set(threading.enumerate()) - before
         finally:
-            executor.shutdown()
+            wedge.released.set()
+        service.close()
+        for thread in wedged:
+            thread.join(10.0)
+            assert not thread.is_alive()
+        assert timer.elapsed * 1000.0 < deadline_ms + 500.0  # the wedge holds the tier 10 s
+        assert response.served_by == STATIC_POPULARITY
+        assert response.tier_errors["personalized"].startswith(
+            "deadline exceeded (tier call cut off after"
+        )
+        assert service.stats["personalized"].timeouts == 1
+        assert service.executor.overruns_ == 1
 
 
 class TestRequestValidation:

@@ -13,14 +13,19 @@ deadline.  These tests pin what that must never break:
   than ``max_workers`` serving threads are ever alive;
 * answers an earlier tier produced survive a later tier's cut-off;
 * a wedged thread that finishes after the edge's loop has closed
-  raises nothing.
+  raises nothing;
+* a synchronous ``recommend_batch``, ``POST /v1/recommend/batch`` and
+  the :class:`MicroBatcher` are cut off alike;
+* after ``close()`` every entry point still answers, and none raises.
 """
 
 from __future__ import annotations
 
 import asyncio
 import http.client
+import json
 import random
+import re
 import threading
 import time
 
@@ -41,6 +46,7 @@ from repro.serving import (
     ServiceConfig,
     ThreadedExecutor,
 )
+from repro.utils.clock import Timer
 
 TIMEOUT_S = 10.0
 SERVING_THREAD = "repro-serving-batch"
@@ -346,3 +352,118 @@ def test_wedged_thread_finishing_after_the_edge_exits_raises_nothing(
     assert status == 200
     assert service.stats["personalized"].timeouts == 1
     assert raised == []
+
+
+class TestEveryCallerIsCutOffAlike:
+    """One wedged-tier batch through each entry point that hands it off."""
+
+    DEADLINE_MS = 50.0
+    MARGIN_MS = 500.0  # the wedge would hold the tier for TIMEOUT_S
+    REQUESTS = [
+        {"user": 0, "k": 3},
+        {"user": 1, "k": 3},
+        {"user": 3, "k": 3, "history": [0]},
+    ]
+
+    def requests(self):
+        return [
+            RecommendationRequest(user=r["user"], k=r["k"], history=r.get("history"))
+            for r in self.REQUESTS
+        ]
+
+    def serve(self, fitted, serving_threads, entry):
+        """Run ``entry(service)`` against a wedged personalized tier.
+
+        Returns what the three entry points must agree on: each response's
+        ``served_by`` and ``tier_errors`` (message text up to its first
+        digit), tier timeouts, breaker windows and executor overruns.
+        """
+        wedge = Wedge("personalized")
+        service = build(fitted, wedge, deadline_ms=self.DEADLINE_MS)
+        try:
+            with Timer() as timer:
+                served = entry(service)
+            threads = serving_threads()
+        finally:
+            wedge.released.set()
+        assert len(threads) <= service.executor.max_workers
+        close_and_join(service, threads)
+        assert timer.elapsed * 1000.0 < self.DEADLINE_MS + self.MARGIN_MS
+        return {
+            "served_by": [served_by for served_by, _ in served],
+            "tier_errors": [
+                {tier: re.split(r"\d", message, maxsplit=1)[0] for tier, message in errors.items()}
+                for _, errors in served
+            ],
+            "timeouts": {name: stats.timeouts for name, stats in service.stats.items()},
+            "window_calls": {
+                name: breaker.snapshot()["window_calls"]
+                for name, breaker in service.breakers.items()
+            },
+            "overruns": service.executor.overruns_,
+        }
+
+    def synchronous(self, service):
+        return [(r.served_by, r.tier_errors) for r in service.recommend_batch(self.requests())]
+
+    def batch_route(self, service):
+        server = EdgeServer(service, config=EdgeConfig(workers=1))
+        with EdgeServerThread(server) as (host, port):
+            connection = http.client.HTTPConnection(host, port, timeout=TIMEOUT_S)
+            try:
+                connection.request(
+                    "POST", "/v1/recommend/batch", json.dumps({"requests": self.REQUESTS}),
+                    {"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                status, body = response.status, json.loads(response.read())
+            finally:
+                connection.close()
+        assert status == 200
+        return [(r["served_by"], r["tier_errors"]) for r in body["responses"]]
+
+    def batcher(self, service):
+        async def scenario():
+            batcher = MicroBatcher(service, CoalesceConfig(max_batch=8))
+            served = await asyncio.gather(*(batcher.submit(r) for r in self.requests()))
+            assert batcher.batches_dispatched_ == 1
+            return served
+
+        return [(r.served_by, r.tier_errors) for r in asyncio.run(scenario())]
+
+    def test_three_entry_points_agree(self, fitted, serving_threads):
+        synchronous = self.serve(fitted, serving_threads, self.synchronous)
+        assert synchronous["served_by"] == [STATIC_POPULARITY] * 3
+        assert synchronous["tier_errors"] == [
+            {"personalized": "deadline exceeded (tier call cut off after ",
+             "fold-in": "deadline exhausted"},
+        ] * 2 + [
+            {"personalized": "personalized: user ", "fold-in": "deadline exhausted"},
+        ]
+        assert synchronous["timeouts"]["personalized"] == 2
+        assert synchronous["window_calls"]["personalized"] == 2
+        assert synchronous["overruns"] == 1
+        assert self.serve(fitted, serving_threads, self.batch_route) == synchronous
+        assert self.serve(fitted, serving_threads, self.batcher) == synchronous
+
+
+def test_every_entry_point_answers_after_close(fitted):
+    service = build(fitted, None)
+    service.close()
+    tiers = {tier.name for tier in service.tiers}
+
+    async def coalesced():
+        return await MicroBatcher(service).submit(RecommendationRequest(user=1, k=3))
+
+    done = Done()
+    service.hand_off([RecommendationRequest(user=2, k=3)], done)
+    responses = [
+        service.recommend(0, k=3),
+        *service.recommend_batch([0, 1], k=3),
+        *done.wait(),
+        asyncio.run(coalesced()),
+    ]
+    for response in responses:
+        assert response.served_by == STATIC_POPULARITY
+        assert set(response.tier_errors) == tiers
+        assert len(response.items) == 3
