@@ -206,24 +206,18 @@ class InteractionMatrix:
     def difference(self, other: "InteractionMatrix") -> "InteractionMatrix":
         """Pairs present in ``self`` but not in ``other``."""
         self._check_same_shape(other)
-        keep = []
-        for user in range(self.n_users):
-            mine = self.positives(user)
-            if not len(mine):
-                continue
-            keep_mask = ~other.contains_batch(user, mine)
-            for item in mine[keep_mask]:
-                keep.append((user, item))
-        return InteractionMatrix.from_pairs(np.asarray(keep or np.zeros((0, 2))), self.n_users, self.n_items)
+        keep = ~np.isin(self._pair_keys(), other._pair_keys(), assume_unique=True)
+        return InteractionMatrix.from_pairs(self.pairs()[keep], self.n_users, self.n_items)
 
     def intersects(self, other: "InteractionMatrix") -> bool:
         """Whether the two matrices share any observed pair."""
         self._check_same_shape(other)
-        for user in range(self.n_users):
-            mine = self.positives(user)
-            if len(mine) and other.contains_batch(user, mine).any():
-                return True
-        return False
+        return bool(np.isin(self._pair_keys(), other._pair_keys(), assume_unique=True).any())
+
+    def _pair_keys(self) -> np.ndarray:
+        """Every pair encoded as ``user * n_items + item``, ascending (CSR order)."""
+        users = np.repeat(np.arange(self.n_users, dtype=np.int64), self.user_counts())
+        return users * self.n_items + self.indices
 
     def _check_same_shape(self, other: "InteractionMatrix") -> None:
         if (self.n_users, self.n_items) != (other.n_users, other.n_items):

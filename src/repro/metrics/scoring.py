@@ -18,18 +18,23 @@ need not equal ``U[users[0]] @ V.T`` in the last bits.
 :func:`linear_scores` — the one factor-scoring kernel in the library —
 therefore never lets BLAS see the batch size: it zero-pads the rows to
 a multiple of :data:`BLOCK` and runs one GEMM per fixed ``BLOCK``-row
-block, so every call BLAS makes has the same shape whatever the batch.
+block, so every call BLAS makes has the same shape whatever the batch.  A
+block GEMM smaller than :data:`ONE_THREAD_BELOW` runs on one BLAS
+thread (:func:`repro.utils.blas.one_blas_thread`); the bits are the
+same on any thread count.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.data.interactions import InteractionMatrix
+from repro.utils.blas import one_blas_thread
 from repro.utils.exceptions import ConfigError
 
 BatchScoreFunction = Callable[[np.ndarray], np.ndarray]
@@ -59,6 +64,24 @@ every shape, offset, dtype and thread count that
 ``tests/test_scoring_kernel.py`` tries; that test fails at 16.
 """
 
+ONE_THREAD_BELOW = 1 << 22
+"""Multiply-adds (``BLOCK * n_items * d``) below which one block GEMM
+runs on one BLAS thread.
+
+Every block GEMM of the narrow serving model (8 x 3,500 x 20) is above
+OpenBLAS's own threading threshold, so each one woke the library's
+second thread, which then busy-waited for the next job.  Under
+``serve-mixed-rw`` load a request arrives about every millisecond, so
+that thread never slept: it used 9.0-9.8 s of user CPU in every 10 s
+window, in state ``R``, on a 2-vCPU host where the event loop, the
+serving thread and the load driver share the other vCPU.  On one
+thread it uses none, and that workload's throughput rose 20-29 %.
+Above the bound a second thread pays for itself: the 8 x 32,768 x 32
+float32 GEMM of ``serve-zipf-wide`` lost 14 % of its throughput on one
+thread, so it keeps the process's count.  At ``BLOCK`` = 8 rows the
+scores are bitwise the same either way.
+"""
+
 
 def linear_scores(
     user_vectors: np.ndarray,
@@ -82,7 +105,11 @@ def linear_scores(
     one ``BLOCK``-row GEMM at a time against a C-contiguous ``V``, so
     each output row is bitwise independent of the batch it was computed
     in, of its position in that batch and of ``V``'s memory layout —
-    see the module docstring.
+    see the module docstring.  When one block's GEMM is smaller than
+    :data:`ONE_THREAD_BELOW`, the block loop runs on one BLAS thread
+    and the previous count is restored afterwards; that keeps
+    OpenBLAS's worker from spinning between small GEMMs and does not
+    change the bits.
     """
     user_vectors = np.asarray(user_vectors)
     single = user_vectors.ndim == 1
@@ -94,8 +121,10 @@ def linear_scores(
     padded = np.zeros((-(-n_rows // BLOCK) * BLOCK, user_vectors.shape[1]), dtype=dtype)
     padded[:n_rows] = user_vectors
     scores = np.empty((len(padded), items_t.shape[1]), dtype=dtype)
-    for start in range(0, len(padded), BLOCK):
-        np.matmul(padded[start : start + BLOCK], items_t, out=scores[start : start + BLOCK])
+    small = BLOCK * items_t.size < ONE_THREAD_BELOW
+    with one_blas_thread() if small else nullcontext():
+        for start in range(0, len(padded), BLOCK):
+            np.matmul(padded[start : start + BLOCK], items_t, out=scores[start : start + BLOCK])
     scores = scores[:n_rows]
     if item_bias is not None:
         scores += item_bias

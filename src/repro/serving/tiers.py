@@ -127,8 +127,8 @@ class ServingTier:
         request: RecommendationRequest,
         train: InteractionMatrix,
     ) -> np.ndarray:
-        """Validate, mask, and top-k one score vector."""
-        scores = np.asarray(scores, dtype=np.float64)
+        """Validate, mask, and top-k one score vector (``scores`` is not mutated)."""
+        scores = np.array(scores, dtype=np.float64)
         if self.chaos is not None:
             scores = self.chaos.poison_scores(self.name, scores)
         bad = ~np.isfinite(scores)
@@ -136,7 +136,6 @@ class ServingTier:
             raise TierError(
                 f"{self.name}: {int(bad.sum())} non-finite scores for user {request.user}"
             )
-        scores = scores.copy()
         if request.exclude_observed:
             if 0 <= request.user < train.n_users:
                 scores[train.positives(request.user)] = -np.inf

@@ -138,6 +138,27 @@ class TestSetAlgebra:
         with pytest.raises(DataError):
             tiny_matrix.union(other)
 
+    @pytest.mark.parametrize("op", ["difference", "intersects"])
+    def test_set_ops_reject_a_shape_mismatch(self, tiny_matrix, op):
+        for other in (InteractionMatrix.empty(4, 7), InteractionMatrix.empty(5, 6)):
+            with pytest.raises(DataError, match="shape mismatch"):
+                getattr(tiny_matrix, op)(other)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (0, 6), (4, 0), (0, 0)])
+    def test_set_ops_on_empty_matrices(self, shape):
+        empty = InteractionMatrix.empty(*shape)
+        assert not empty.intersects(empty)
+        assert empty.difference(empty) == empty
+
+    @given(mine=pairs_strategy(), theirs=pairs_strategy())
+    @settings(max_examples=80, deadline=None)
+    def test_set_ops_match_a_set_reference(self, mine, theirs):
+        left = InteractionMatrix.from_pairs(mine, n_users=8, n_items=10)
+        right = InteractionMatrix.from_pairs(theirs, n_users=8, n_items=10)
+        expected = set(mine) - set(theirs)
+        assert left.intersects(right) == bool(set(mine) & set(theirs))
+        assert left.difference(right) == InteractionMatrix.from_pairs(sorted(expected), 8, 10)
+
 
 class TestProperties:
     @given(pairs=pairs_strategy())

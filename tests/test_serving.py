@@ -249,6 +249,24 @@ class TestTiers:
         items = tier.serve(RecommendationRequest(user=user, k=5))
         assert len(items) == 5
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_rank_masks_a_copy_of_the_scores(self, split, dtype):
+        """``_rank`` ranks the masked scores and leaves the caller's array alone."""
+        tier = PopularityTier(split.train)
+        user = int(warm_users(split.train)[0])
+        rng = np.random.default_rng(3)
+        scores = rng.standard_normal(split.train.n_items).astype(dtype)
+        scores[:6] = scores[6]  # ties straddling the masked items
+        before = scores.copy()
+        history = (0, 2, 4)
+        request = RecommendationRequest(user=user, k=12, history=history)
+        ranking = tier._rank(scores, request, split.train)
+        assert np.array_equal(scores, before) and scores.dtype == dtype
+        masked = scores.astype(np.float64)
+        masked[split.train.positives(user)] = -np.inf
+        masked[list(history)] = -np.inf
+        np.testing.assert_array_equal(ranking, np.argsort(-masked, kind="stable")[:12])
+
     def test_popularity_serves_anyone(self, split):
         tier = PopularityTier(split.train)
         items = tier.serve(RecommendationRequest(user=10**9, k=5))
