@@ -19,7 +19,7 @@ need not equal ``U[users[0]] @ V.T`` in the last bits.
 therefore never lets BLAS see the batch size: it zero-pads the rows to
 a multiple of :data:`BLOCK` and runs one GEMM per fixed ``BLOCK``-row
 block, so every call BLAS makes has the same shape whatever the batch.  A
-block GEMM smaller than :data:`ONE_THREAD_BELOW` runs on one BLAS
+call smaller than :data:`ONE_THREAD_BELOW` runs its blocks on one BLAS
 thread (:func:`repro.utils.blas.one_blas_thread`); the bits are the
 same on any thread count.
 """
@@ -65,21 +65,25 @@ every shape, offset, dtype and thread count that
 """
 
 ONE_THREAD_BELOW = 1 << 22
-"""Multiply-adds (``BLOCK * n_items * d``) below which one block GEMM
-runs on one BLAS thread.
+"""Multiply-adds of one :func:`linear_scores` call (padded rows x
+``n_items`` x ``d``) below which its block GEMMs run on one BLAS thread.
 
-Every block GEMM of the narrow serving model (8 x 3,500 x 20) is above
-OpenBLAS's own threading threshold, so each one woke the library's
-second thread, which then busy-waited for the next job.  Under
-``serve-mixed-rw`` load a request arrives about every millisecond, so
-that thread never slept: it used 9.0-9.8 s of user CPU in every 10 s
-window, in state ``R``, on a 2-vCPU host where the event loop, the
-serving thread and the load driver share the other vCPU.  On one
-thread it uses none, and that workload's throughput rose 20-29 %.
-Above the bound a second thread pays for itself: the 8 x 32,768 x 32
-float32 GEMM of ``serve-zipf-wide`` lost 14 % of its throughput on one
-thread, so it keeps the process's count.  At ``BLOCK`` = 8 rows the
-scores are bitwise the same either way.
+A serving request scores one block: on the narrow model an 8 x 3,500 x
+20 GEMM, which is above OpenBLAS's own threading threshold, so each one
+woke the library's second thread, which then busy-waited for the next
+job.  Under ``serve-mixed-rw`` load a request arrives about every
+millisecond, so that thread never slept: it used 9.0-9.8 s of user CPU
+in every 10 s window, in state ``R``, on a 2-vCPU host where the event
+loop, the serving thread and the load driver share the other vCPU.  On
+one thread it uses none, and that workload's throughput rose 11-29 %.
+
+The bound is on the whole call, not on one block, because the second
+thread pays for itself when it has work: the 8 x 32,768 x 32 float32
+GEMM of ``serve-zipf-wide`` (2^23) lost 12 % of that workload's
+throughput on one thread, and a serial evaluation pass on the
+``train-dss`` model, whose chunks run hundreds of blocks back to back,
+took 3-9 % longer.  At ``BLOCK`` = 8 rows the scores are bitwise the
+same either way.
 """
 
 
@@ -105,10 +109,10 @@ def linear_scores(
     one ``BLOCK``-row GEMM at a time against a C-contiguous ``V``, so
     each output row is bitwise independent of the batch it was computed
     in, of its position in that batch and of ``V``'s memory layout —
-    see the module docstring.  When one block's GEMM is smaller than
+    see the module docstring.  When the call is smaller than
     :data:`ONE_THREAD_BELOW`, the block loop runs on one BLAS thread
     and the previous count is restored afterwards; that keeps
-    OpenBLAS's worker from spinning between small GEMMs and does not
+    OpenBLAS's worker from spinning between small calls and does not
     change the bits.
     """
     user_vectors = np.asarray(user_vectors)
@@ -121,7 +125,7 @@ def linear_scores(
     padded = np.zeros((-(-n_rows // BLOCK) * BLOCK, user_vectors.shape[1]), dtype=dtype)
     padded[:n_rows] = user_vectors
     scores = np.empty((len(padded), items_t.shape[1]), dtype=dtype)
-    small = BLOCK * items_t.size < ONE_THREAD_BELOW
+    small = len(padded) * items_t.size < ONE_THREAD_BELOW
     with one_blas_thread() if small else nullcontext():
         for start in range(0, len(padded), BLOCK):
             np.matmul(padded[start : start + BLOCK], items_t, out=scores[start : start + BLOCK])

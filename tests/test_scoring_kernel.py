@@ -9,11 +9,11 @@ memory layouts and BLAS thread counts.  ``test_predict_batch.py`` checks
 the same contract through the models, but only on small batches that a
 too-large block still passes; this module fails when ``BLOCK`` is 16.
 
-``linear_scores`` runs a small block GEMM on one BLAS thread
-(``scoring.ONE_THREAD_BELOW``), so the thread-count tests patch that
-bound to 0 (every GEMM at the process's count) or to infinity (every
-GEMM on one thread).  On a one-core runner both are one thread; CI runs
-this module again under ``OPENBLAS_NUM_THREADS=2``.
+``linear_scores`` runs the block GEMMs of a small call on one BLAS
+thread (``scoring.ONE_THREAD_BELOW``), so the thread-count tests patch
+that bound to 0 (every GEMM at the process's count) or to infinity
+(every GEMM on one thread).  On a one-core runner both are one thread;
+CI runs this module again under ``OPENBLAS_NUM_THREADS=2``.
 """
 
 from __future__ import annotations
@@ -152,16 +152,16 @@ def gemm_thread_counts(monkeypatch, get_threads) -> list[int]:
     return seen
 
 
-def test_small_gemms_run_on_one_thread_and_restore_the_count(controls, monkeypatch):
+def test_small_calls_run_on_one_thread_and_large_calls_keep_the_count(controls, monkeypatch):
     get_threads, _ = controls
     start = get_threads()
     users, items, bias = case_arrays(CASES[0])
+    assert scoring.BLOCK * items.size < scoring.ONE_THREAD_BELOW <= len(users) * items.size
     seen = gemm_thread_counts(monkeypatch, get_threads)
-    linear_scores(users, items, bias)
+    linear_scores(users[:3], items, bias)
     assert seen and set(seen) == {1}
     assert get_threads() == start
     seen.clear()
-    monkeypatch.setattr(scoring, "ONE_THREAD_BELOW", 0)
     linear_scores(users, items, bias)
     assert set(seen) == {start}
 
