@@ -81,7 +81,7 @@ The bound is on the whole call, not on one block, because the second
 thread pays for itself when it has work: the 8 x 32,768 x 32 float32
 GEMM of ``serve-zipf-wide`` (2^23) lost 12 % of that workload's
 throughput on one thread, and a serial evaluation pass on the
-``train-dss`` model, whose chunks run hundreds of blocks back to back,
+``train-dss`` model, whose chunks run 128 blocks back to back,
 took 3-9 % longer.  At ``BLOCK`` = 8 rows the scores are bitwise the
 same either way.
 """
