@@ -64,6 +64,12 @@ def validation_ndcg(
     ``predict_user(user)``; users are scored in batches of
     ``chunk_size`` through the chunk-invariant engine, so the result
     does not depend on the chunking.
+
+    The chunks run serially on the calling thread, never through
+    :func:`~repro.metrics.scoring.map_chunks`: this runs inside serving
+    processes (``serving/reload.py`` gates a candidate model on it),
+    where the threaded path's process-wide one-BLAS-thread scope would
+    also slow the serving threads' GEMMs.
     """
     users = np.flatnonzero(validation.user_counts() > 0)
     if max_users is not None and len(users) > max_users:
@@ -167,7 +173,7 @@ class Recommender(ABC):
         k: int = 5,
         *,
         exclude_observed: bool = True,
-        chunk_size: int = 1024,
+        chunk_size: int = scoring.CHUNK_SIZE,
     ) -> np.ndarray:
         """Top-k recommendations for many users at once, shape ``(U, k)``.
 

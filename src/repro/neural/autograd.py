@@ -15,13 +15,16 @@ Supported ops: ``+ - * / @``, ``neg``, ``exp``, ``log``, ``relu``,
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.utils.exceptions import DataError
 
-_grad_enabled = True
+# Per thread, so evaluation workers entering and leaving ``no_grad`` at
+# once cannot leave another thread (or the trainer) with recording off.
+_grad_mode = threading.local()
 
 #: Largest exponent fed to ``np.exp`` — just under float64's ~709.78
 #: overflow point, so ``exp`` saturates at ~8.2e307 instead of emitting
@@ -29,16 +32,20 @@ _grad_enabled = True
 _EXP_MAX = 709.0
 
 
+def grad_enabled() -> bool:
+    """Whether tensors made on this thread record the graph."""
+    return getattr(_grad_mode, "enabled", True)
+
+
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling graph recording (inference mode)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Context manager disabling graph recording (inference mode) on this thread."""
+    previous = grad_enabled()
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -71,7 +78,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _grad_enabled
+        self.requires_grad = bool(requires_grad) and grad_enabled()
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -90,7 +97,7 @@ class Tensor:
     ) -> "Tensor":
         parents = tuple(parents)
         out = cls(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if grad_enabled() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward

@@ -1,5 +1,8 @@
 """Finite-difference gradient checks for the autograd engine."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,3 +208,57 @@ class TestGraphMechanics:
             lambda x: ((x.sigmoid() * x.tanh()).softplus() + x.square()).mean(),
             array,
         )
+
+
+def test_no_grad_is_per_thread():
+    """Overlapping scopes on two threads leave recording on everywhere else.
+
+    Evaluation workers score neural models inside ``no_grad`` at the same
+    time; a process-wide flag restored by the last scope to leave would
+    switch graph recording off for good.
+    """
+    entered, leave = threading.Event(), threading.Event()
+    seen = []
+
+    def worker():
+        with no_grad():
+            seen.append(Tensor(np.ones(1), requires_grad=True).requires_grad)
+            entered.set()
+            leave.wait(10)
+        seen.append(Tensor(np.ones(1), requires_grad=True).requires_grad)
+
+    scope = no_grad()
+    scope.__enter__()
+    thread = threading.Thread(target=worker)
+    thread.start()
+    assert entered.wait(10)
+    scope.__exit__(None, None, None)
+    assert Tensor(np.ones(1), requires_grad=True).requires_grad
+    leave.set()
+    thread.join(10)
+    assert seen == [False, True]
+    assert Tensor(np.ones(1), requires_grad=True).requires_grad
+
+
+def test_concurrent_no_grad_scopes_never_strand_recording_off():
+    """Eight threads entering and leaving ``no_grad`` leave the trainer recording."""
+    inside: list[bool] = []
+    switch = sys.getswitchinterval()
+
+    def worker():
+        for _ in range(300):
+            with no_grad():
+                inside.append(Tensor(np.ones(1), requires_grad=True).requires_grad)
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(inside) == 8 * 300 and not any(inside)
+    assert Tensor(np.ones(1), requires_grad=True).requires_grad
